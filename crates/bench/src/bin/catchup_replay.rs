@@ -4,8 +4,8 @@
 //! stream, syncs (backpointer walk over the whole log), and drains it with
 //! `readnext`. The walk dominates: with the per-offset read path every
 //! entry costs a storage round trip, while the batched path fetches each
-//! backpointer window in one `ReadBatch` per replica set, fanned out in
-//! parallel over the pipelined transport. K is set to 16 so the window —
+//! backpointer window in one `ReadBatch` per replica set, all in flight
+//! together as split-phase calls over the pipelined transport. K is set to 16 so the window —
 //! and therefore the realizable batch — is meaningfully wide.
 //!
 //! Honors `TANGO_QUICK=1` (fewer entries) for CI smoke runs.

@@ -574,12 +574,7 @@ impl TangoRuntime {
             // Scan ahead on hosted streams for the decision record,
             // bulk-fetching each stream's lookahead in one go.
             for &oid in &hosted {
-                let ahead: Vec<LogOffset> = self
-                    .stream
-                    .known_offsets(oid)
-                    .into_iter()
-                    .filter(|&o| o > commit_off)
-                    .collect();
+                let ahead = self.stream.known_offsets_after(oid, commit_off);
                 self.stream.fetch_into_cache(&ahead)?;
                 for off in ahead {
                     let Some(entry) = self.stream.read_at(off)? else { continue };

@@ -10,14 +10,13 @@
 //! layout service and retries.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel;
 use parking_lot::RwLock;
 use tango_metrics::{Registry, Span, SpanKind, Timer};
-use tango_rpc::ClientConn;
+use tango_rpc::{ClientConn, PendingCall};
 use tango_wire::{decode_from_slice, encode_to_vec};
 
 use crate::entry::{CrossLogLink, EntryEnvelope, StreamHeader};
@@ -30,90 +29,6 @@ use crate::{
     compose, log_of_offset, raw_of_offset, CorfuError, Epoch, LogOffset, NodeId, NodeInfo,
     Projection, Result, StreamId,
 };
-
-/// Workers in the lazily-spawned fan-out pool (see [`CallPool`]). The
-/// calling thread always services one request itself, so `read_many` keeps
-/// up to `FANOUT_WORKERS + 1` batches in flight at once.
-const FANOUT_WORKERS: usize = 6;
-
-struct FanoutJob {
-    conn: Arc<dyn ClientConn>,
-    request: Vec<u8>,
-    slot: usize,
-    reply: channel::Sender<(usize, tango_rpc::Result<Vec<u8>>)>,
-}
-
-/// A small persistent worker pool for issuing concurrent blocking RPCs.
-///
-/// Scoped threads would work, but a backpointer walk calls `read_many`
-/// once per stride and a thread spawn per call costs more than the round
-/// trip it hides. Jobs carry everything they need (the connection handle
-/// and pre-encoded request bytes), so the workers are `'static` and live
-/// until the pool is dropped.
-struct CallPool {
-    jobs: Option<channel::Sender<FanoutJob>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl CallPool {
-    fn new(size: usize) -> Self {
-        let (tx, rx) = channel::unbounded::<FanoutJob>();
-        let workers = (0..size)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name("corfu-fanout".into())
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let result = job.conn.call(&job.request);
-                            let _ = job.reply.send((job.slot, result));
-                        }
-                    })
-                    .expect("spawn corfu-fanout worker")
-            })
-            .collect();
-        Self { jobs: Some(tx), workers }
-    }
-
-    /// Issues every request concurrently and returns the raw responses in
-    /// input order. The calling thread services the first request itself.
-    fn call_all(
-        &self,
-        calls: Vec<(Arc<dyn ClientConn>, Vec<u8>)>,
-    ) -> Vec<tango_rpc::Result<Vec<u8>>> {
-        let n = calls.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let jobs = self.jobs.as_ref().expect("pool open while client alive");
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let mut iter = calls.into_iter();
-        let (first_conn, first_request) = iter.next().expect("checked non-empty");
-        for (i, (conn, request)) in iter.enumerate() {
-            jobs.send(FanoutJob { conn, request, slot: i + 1, reply: reply_tx.clone() })
-                .map_err(|_| ())
-                .expect("fan-out workers alive");
-        }
-        drop(reply_tx);
-        let mut out: Vec<Option<tango_rpc::Result<Vec<u8>>>> = (0..n).map(|_| None).collect();
-        out[0] = Some(first_conn.call(&first_request));
-        for _ in 1..n {
-            let (slot, result) = reply_rx.recv().expect("every job replies");
-            out[slot] = Some(result);
-        }
-        out.into_iter().map(|r| r.expect("every slot served")).collect()
-    }
-}
-
-impl Drop for CallPool {
-    fn drop(&mut self) {
-        // Closing the job channel lets every worker drain and exit.
-        self.jobs.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
 
 /// Creates connections to nodes named by the projection's address book.
 pub trait ConnFactory: Send + Sync {
@@ -243,7 +158,6 @@ pub struct CorfuClient {
     factory: Arc<dyn ConnFactory>,
     state: Arc<RwLock<ClientState>>,
     token_pool: Arc<parking_lot::Mutex<TokenPool>>,
-    fanout: Arc<OnceLock<CallPool>>,
     opts: ClientOptions,
     registry: Registry,
     metrics: ClientMetrics,
@@ -283,7 +197,6 @@ impl CorfuClient {
             factory,
             state: Arc::new(RwLock::new(state)),
             token_pool: Arc::new(parking_lot::Mutex::new(TokenPool::default())),
-            fanout: Arc::new(OnceLock::new()),
             opts,
             registry,
             metrics,
@@ -1125,9 +1038,10 @@ impl CorfuClient {
 
     /// Reads a batch of offsets in bulk: offsets are grouped by replica
     /// set, each group goes out as (at most `MAX_READ_BATCH`-sized)
-    /// `ReadBatch` requests to the chain tails — fanned out concurrently
-    /// over the pipelined transport when more than one batch is in play —
-    /// and the per-offset outcomes are stitched back in input order.
+    /// `ReadBatch` requests to the chain tails — all started as split-phase
+    /// calls before any reply is collected, so over the pipelined transport
+    /// they are in flight together — and the per-offset outcomes are
+    /// stitched back in input order.
     ///
     /// Like [`CorfuClient::read`], a tail-side `Unwritten` on a replicated
     /// chain is resolved through chain repair before being reported, so an
@@ -1187,35 +1101,23 @@ impl CorfuClient {
                 other => Err(CorfuError::Storage(format!("batch read failed: {other:?}"))),
             }
         };
-        let results: Vec<Result<Vec<PageOutcome>>> = if chunks.len() == 1 {
-            let (tail, epoch, entries) = chunks[0];
+        // Every chunk is started before any reply is collected: over TCP
+        // the requests are in flight on every tail at once, so one straggler
+        // node does not serialize the others; in-process transports answer
+        // each chunk on this thread as it starts.
+        let mut requests = Vec::with_capacity(chunks.len());
+        for &(tail, epoch, entries) in &chunks {
             self.metrics.read_batches.inc();
             let addrs = entries.iter().map(|&(_, local)| local).collect();
-            let resp = self.storage_call(tail, &StorageRequest::ReadBatch { epoch, addrs })?;
-            vec![parse(entries.len(), resp)]
-        } else {
-            // Connections are resolved and requests encoded up front so the
-            // pool jobs are self-contained; responses decode back on this
-            // thread. Concurrent blocking calls on the multiplexed
-            // transport pipeline, so one straggler node no longer
-            // serializes behind the others.
-            let mut calls = Vec::with_capacity(chunks.len());
-            for &(tail, epoch, entries) in &chunks {
-                self.metrics.read_batches.inc();
-                let addrs = entries.iter().map(|&(_, local)| local).collect();
-                let request = encode_to_vec(&StorageRequest::ReadBatch { epoch, addrs });
-                calls.push((self.conn(tail)?, request));
-            }
-            let pool = self.fanout.get_or_init(|| CallPool::new(FANOUT_WORKERS));
-            pool.call_all(calls)
-                .into_iter()
-                .zip(chunks.iter())
-                .map(|(raw, &(_, _, entries))| {
-                    let resp: StorageResponse = decode_from_slice(&raw?)?;
-                    parse(entries.len(), resp)
-                })
-                .collect()
-        };
+            let request = encode_to_vec(&StorageRequest::ReadBatch { epoch, addrs });
+            requests.push((self.conn(tail)?, request));
+        }
+        let calls: Vec<PendingCall> =
+            requests.iter().map(|(conn, request)| conn.start(request)).collect();
+        let results = calls.into_iter().zip(&chunks).map(|(call, &(_, _, entries))| {
+            let resp: StorageResponse = decode_from_slice(&call.wait()?)?;
+            parse(entries.len(), resp)
+        });
         let mut out: Vec<Option<ReadOutcome>> = vec![None; offsets.len()];
         for (&(_, _, entries), result) in chunks.iter().zip(results) {
             for (&(idx, _), outcome) in entries.iter().zip(result?) {

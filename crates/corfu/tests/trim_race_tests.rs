@@ -75,7 +75,7 @@ fn seeded_workload(seed: u64) -> Vec<Op> {
     for round in 0..ROUNDS {
         let base = round * ROUND;
         for addr in base..base + ROUND {
-            if rng.next() % 7 == 0 {
+            if rng.next().is_multiple_of(7) {
                 ops.push(Op::Fill { addr });
             } else {
                 let filler = rng.next() % 100;
@@ -158,7 +158,7 @@ fn kill_mid_compaction_replays_identically(seed: u64) {
         );
         for (i, op) in ops[..crash_at].iter().enumerate() {
             apply(&server, op, false);
-            if i % 20 == 0 {
+            if i.is_multiple_of(20) {
                 // Yield so compaction passes interleave with the workload.
                 std::thread::sleep(Duration::from_millis(2));
             }

@@ -74,7 +74,7 @@ impl HttpScrapeServer {
             let registry = registry.clone();
             let queued = Arc::clone(&queued);
             let worker = std::thread::Builder::new()
-                .name(format!("http-scrape-worker-{i}"))
+                .name(format!("scrape-{}-w{i}", local.port()))
                 .spawn(move || {
                     while let Ok(stream) = rx.recv() {
                         queued.fetch_sub(1, Ordering::AcqRel);
@@ -87,7 +87,7 @@ impl HttpScrapeServer {
         drop(rx);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = std::thread::Builder::new()
-            .name(format!("http-scrape-{local}"))
+            .name(format!("scrape-{}-accept", local.port()))
             .spawn(move || accept_loop(listener, tx, queued, accept_shutdown))
             .map_err(|e| RpcError::Io(e.to_string()))?;
         Ok(Self { addr: local, shutdown, accept_thread: Some(accept_thread), workers })

@@ -8,7 +8,8 @@
 //!
 //! * [`RpcHandler`] — the server side: a function from request bytes to
 //!   response bytes.
-//! * [`ClientConn`] — the client side: a blocking `call`.
+//! * [`ClientConn`] — the client side: a blocking `call`, plus a
+//!   split-phase `start` returning a [`PendingCall`] to wait on later.
 //! * [`LocalConn`] — in-process transport used by tests, examples, and the
 //!   single-process cluster harness.
 //! * [`TcpServer`] / [`TcpConn`] — a real socket transport: length-framed,
@@ -46,7 +47,7 @@ pub use tcp::{
     ConnMetrics, ServerMetrics, ServerOptions, TcpConn, TcpServer, DEFAULT_MAX_CONNS,
     SERVER_WORKERS,
 };
-pub use traits::{ClientConn, RpcHandler};
+pub use traits::{ClientConn, PendingCall, RpcHandler};
 
 /// Convenience alias for transport results.
 pub type Result<T> = std::result::Result<T, RpcError>;

@@ -20,7 +20,10 @@
 //! stamps its request frame with a fresh `u64` id and registers a waiter;
 //! the write happens directly on the caller's thread, while a single
 //! process-wide client reactor reads every connection's responses and
-//! routes them back to waiters by id — no reader thread per connection. A
+//! routes them back to waiters by id — no reader thread per connection.
+//! Calls are split-phase ([`ClientConn::start`]): the frame is sent when a
+//! call starts and the waiter is collected on `wait`, so one thread can keep
+//! requests to several servers in flight at once. A
 //! call that times out simply abandons its waiter — a late response is
 //! discarded by id with no stream desync, so the connection stays usable.
 //! Dialing uses `connect_timeout` bounded by the per-call timeout and
@@ -33,7 +36,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use parking_lot::Mutex;
@@ -41,7 +44,7 @@ use tango_metrics::{trace, Counter, Events, Gauge, Histogram, Registry, TraceCon
 
 use crate::frame::Frame;
 use crate::reactor::{self, ListenerConfig, Reactor, Sink};
-use crate::{ClientConn, Result, RpcError, RpcHandler};
+use crate::{ClientConn, PendingCall, Result, RpcError, RpcHandler};
 
 /// Size of a server's worker pool: how many requests (across *all* of its
 /// connections) can be in the handler concurrently. Together with the
@@ -419,7 +422,9 @@ impl TcpConn {
         Ok(fresh)
     }
 
-    fn call_once(&self, request: &[u8]) -> Result<Vec<u8>> {
+    /// Registers a waiter for a fresh request id and writes the request
+    /// frame. The returned [`Sent`] is the only owner of the waiter.
+    fn send(&self, request: &[u8]) -> Result<Sent<'_>> {
         let live = self.live()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // If the calling thread is inside a sampled trace, stamp its
@@ -428,58 +433,81 @@ impl TcpConn {
         let (tx, rx) = channel::unbounded();
         live.shared.pending.lock().insert(id, tx);
         self.metrics.in_flight.add(1);
-        let result = (|| {
-            // The connection may have died between the liveness check and
-            // the waiter registration; its drain would miss a later insert.
-            if live.shared.dead.load(Ordering::SeqCst) {
-                return Err(RpcError::Disconnected);
-            }
-            if let Err(e) = live.conn.send_frame(id, ctx, request) {
-                // A partial write desyncs the stream for everyone;
-                // send_frame already tore the connection down.
-                live.shared.fail(e.clone());
-                return Err(e);
-            }
-            match rx.recv_timeout(self.timeout) {
-                Ok(outcome) => outcome,
-                // Abandon the waiter; the reactor discards the late
-                // response by id.
-                Err(_) => Err(RpcError::Timeout),
-            }
-        })();
-        live.shared.pending.lock().remove(&id);
-        self.metrics.in_flight.sub(1);
-        result
-    }
-
-    fn call_inner(&self, request: &[u8]) -> Result<Vec<u8>> {
-        match self.call_once(request) {
-            // The connection stays usable after a timeout (responses are
-            // matched by id), so there is nothing to retry against.
-            Err(RpcError::Timeout) => Err(RpcError::Timeout),
-            // Reconnect and retry once: the server may have restarted.
-            Err(_) => self.call_once(request),
-            ok => ok,
+        let sent = Sent { conn: self, live, id, rx, deadline: Instant::now() + self.timeout };
+        // The connection may have died between the liveness check and
+        // the waiter registration; its drain would miss a later insert.
+        if sent.live.shared.dead.load(Ordering::SeqCst) {
+            return Err(RpcError::Disconnected);
         }
+        if let Err(e) = sent.live.conn.send_frame(id, ctx, request) {
+            // A partial write desyncs the stream for everyone;
+            // send_frame already tore the connection down.
+            sent.live.shared.fail(e.clone());
+            return Err(e);
+        }
+        Ok(sent)
+    }
+}
+
+/// A request on the wire whose response has not been collected. Dropping
+/// it abandons the waiter; the reactor discards a late response by id.
+struct Sent<'a> {
+    conn: &'a TcpConn,
+    live: Arc<Live>,
+    id: u64,
+    rx: channel::Receiver<Result<Vec<u8>>>,
+    /// The per-call timeout runs from the send, not from the wait.
+    deadline: Instant,
+}
+
+impl Sent<'_> {
+    fn wait(self) -> Result<Vec<u8>> {
+        match self.rx.recv_timeout(self.deadline.saturating_duration_since(Instant::now())) {
+            Ok(outcome) => outcome,
+            Err(_) => Err(RpcError::Timeout),
+        }
+    }
+}
+
+impl Drop for Sent<'_> {
+    fn drop(&mut self) {
+        self.live.shared.pending.lock().remove(&self.id);
+        self.conn.metrics.in_flight.sub(1);
     }
 }
 
 impl ClientConn for TcpConn {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
-        let timer = self.metrics.round_trip_ns.start();
-        match self.call_inner(request) {
-            Ok(resp) => {
+        self.start(request).wait()
+    }
+
+    /// Sends the request frame now and waits for the response in
+    /// [`PendingCall::wait`], so calls started back to back are in flight
+    /// together.
+    fn start<'a>(&'a self, request: &'a [u8]) -> PendingCall<'a> {
+        // Not a `Timer`: dropping one records, and a call dropped without
+        // being collected is not a round trip.
+        let sent_at = self.metrics.round_trip_ns.is_enabled().then(Instant::now);
+        let first = self.send(request);
+        PendingCall::new(move || {
+            let result = match first.and_then(Sent::wait) {
+                // The connection stays usable after a timeout (responses
+                // are matched by id), so there is nothing to retry against.
+                Err(RpcError::Timeout) => Err(RpcError::Timeout),
+                // Reconnect and retry once: the server may have restarted.
+                Err(_) => self.send(request).and_then(Sent::wait),
+                ok => ok,
+            };
+            // Failed calls would pollute the round-trip histogram.
+            if let Ok(response) = &result {
                 self.metrics.bytes_out.add(request.len() as u64);
-                self.metrics.bytes_in.add(resp.len() as u64);
-                timer.stop();
-                Ok(resp)
+                self.metrics.bytes_in.add(response.len() as u64);
+                if let Some(sent_at) = sent_at {
+                    self.metrics.round_trip_ns.record_duration(sent_at.elapsed());
+                }
             }
-            Err(e) => {
-                // Failed calls would pollute the round-trip histogram.
-                timer.discard();
-                Err(e)
-            }
-        }
+            result
+        })
     }
 }
 

@@ -27,4 +27,32 @@ where
 pub trait ClientConn: Send + Sync {
     /// Sends `request` and waits for the response.
     fn call(&self, request: &[u8]) -> Result<Vec<u8>>;
+
+    /// Split-phase form of [`ClientConn::call`]: issues `request` and
+    /// returns a handle whose [`PendingCall::wait`] yields the response.
+    /// A caller that starts several calls before waiting on any keeps them
+    /// all in flight at once, without threads.
+    ///
+    /// The default completes the call on the caller's thread before
+    /// returning, which is right for in-process transports.
+    fn start<'a>(&'a self, request: &'a [u8]) -> PendingCall<'a> {
+        let response = self.call(request);
+        PendingCall::new(move || response)
+    }
+}
+
+/// A call issued by [`ClientConn::start`] whose response has not been
+/// collected yet.
+pub struct PendingCall<'a>(Box<dyn FnOnce() -> Result<Vec<u8>> + 'a>);
+
+impl<'a> PendingCall<'a> {
+    /// Wraps the step that completes the call.
+    pub fn new(complete: impl FnOnce() -> Result<Vec<u8>> + 'a) -> Self {
+        Self(Box::new(complete))
+    }
+
+    /// Waits for the response.
+    pub fn wait(self) -> Result<Vec<u8>> {
+        (self.0)()
+    }
 }

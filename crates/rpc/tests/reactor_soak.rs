@@ -29,6 +29,23 @@ fn process_threads() -> usize {
         .unwrap()
 }
 
+/// The process's thread count once it has stopped changing. A thread that
+/// a traffic round joined can still be counted for a moment while the
+/// kernel finishes its exit, so a single read can be one too high; a
+/// thread that stays alive keeps the settled count up.
+fn settled_threads() -> usize {
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    let mut last = process_threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = process_threads();
+        if now == last || std::time::Instant::now() >= deadline {
+            return now;
+        }
+        last = now;
+    }
+}
+
 /// One round of pipelined traffic: `threads` caller threads share the
 /// given connections and verify every response matches its request.
 fn traffic_round(conns: &[Arc<TcpConn>], threads: usize, calls_per_thread: usize) {
@@ -73,7 +90,7 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
     // pool, client reactor, and this test's own caller threads are
     // spawned fresh each round so they don't count).
     traffic_round(&actives, 8, 5);
-    let baseline = process_threads();
+    let baseline = settled_threads();
 
     // Grow an idle population in batches; after each batch the thread
     // count must not have moved and pipelined traffic must stay correct.
@@ -94,7 +111,7 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
             std::thread::sleep(Duration::from_millis(5));
         }
         traffic_round(&actives, 8, 10);
-        let now = process_threads();
+        let now = settled_threads();
         assert_eq!(
             now,
             baseline,
@@ -108,5 +125,5 @@ fn hundreds_of_connections_on_a_fixed_thread_budget() {
     // Idle connections come and go without disturbing the budget.
     idles.truncate(50);
     traffic_round(&actives, 8, 10);
-    assert_eq!(process_threads(), baseline);
+    assert_eq!(settled_threads(), baseline);
 }

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use tango_metrics::Registry;
 use tango_rpc::{
     http_get, ClientConn, HttpScrapeServer, RpcHandler, ServerMetrics, ServerOptions, TcpConn,
-    TcpServer,
+    TcpServer, SCRAPE_WORKERS,
 };
 
 struct Echo;
@@ -30,14 +30,15 @@ impl RpcHandler for Echo {
     }
 }
 
-/// Number of threads in this process, from /proc/self/status.
-fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+/// Threads of this process whose name, as the kernel keeps it (at most 15
+/// bytes, from `/proc/self/task/*/comm`), starts with `prefix`. Counting by
+/// name keeps threads spawned by sibling tests in this binary out of it.
+fn named_threads(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(prefix))
+        .count()
 }
 
 /// A listener that accepts nothing and whose accept queue is full, so new
@@ -200,10 +201,18 @@ fn scrape_burst_is_served_without_thread_growth() {
     let server = HttpScrapeServer::spawn("127.0.0.1:0", registry).unwrap();
     let addr = server.local_addr().to_string();
 
-    // Warm up: one scrape so every server-side thread exists.
+    // Warm up: one scrape so every server-side thread exists. This
+    // server's threads (acceptor and pool) are named after its port.
     let (status, _) = http_get(&addr, "/metrics", Duration::from_secs(2)).unwrap();
     assert_eq!(status, 200);
-    let baseline = process_threads();
+    let pool = format!("scrape-{}-", server.local_addr().port());
+    // Each thread names itself as it starts running; wait until all have.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while named_threads(&pool) < SCRAPE_WORKERS + 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let baseline = named_threads(&pool);
+    assert_eq!(baseline, SCRAPE_WORKERS + 1, "acceptor plus the fixed pool");
 
     // Pile up 24 connections that have not sent their request yet. The
     // old endpoint spawned a thread per accepted connection right here.
@@ -215,7 +224,7 @@ fn scrape_burst_is_served_without_thread_growth() {
         })
         .collect();
     std::thread::sleep(Duration::from_millis(300));
-    let during = process_threads();
+    let during = named_threads(&pool);
     assert!(
         during <= baseline,
         "server grew threads under connection burst: {baseline} -> {during}"

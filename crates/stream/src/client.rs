@@ -70,8 +70,8 @@ impl StreamMetrics {
 pub struct StreamClient {
     corfu: CorfuClient,
     config: StreamConfig,
-    /// Cursor table. `learn` computes its walk against a floor snapshot
-    /// and re-validates under this lock before integrating.
+    /// Cursor table. `learn` checks membership with short lookups under
+    /// this lock and integrates its discoveries only after its walk ends.
     cursors: Mutex<HashMap<StreamId, StreamCursor>>,
     /// Decoded-entry cache. Lookups and inserts bracket the (lock-free)
     /// network fetches.
@@ -230,6 +230,16 @@ impl StreamClient {
     /// Snapshot of the known member offsets of `stream` (ascending).
     pub fn known_offsets(&self, stream: StreamId) -> Vec<LogOffset> {
         self.cursors.lock().get(&stream).map(|c| c.offsets().to_vec()).unwrap_or_default()
+    }
+
+    /// The known member offsets of `stream` strictly above `after`
+    /// (ascending): a copy of the suffix only, not the whole list.
+    pub fn known_offsets_after(&self, stream: StreamId, after: LogOffset) -> Vec<LogOffset> {
+        self.cursors
+            .lock()
+            .get(&stream)
+            .map(|c| c.offsets_after(after).to_vec())
+            .unwrap_or_default()
     }
 
     /// The next (up to `limit`) unconsumed member offsets of `stream`
@@ -480,19 +490,24 @@ impl StreamClient {
     /// Each stride fetches its whole backpointer window in one bulk read
     /// (the window's entries are due for playback anyway, so the batch
     /// doubles as a cache warmer), and no cursor lock is held across any
-    /// of the network reads: the known set is snapshotted up front and the
-    /// discoveries merged into the live cursor at the end.
+    /// of the network reads. Membership is checked against the *live*
+    /// cursor, one short lookup at a time, so a sync costs its new entries
+    /// rather than a copy of the whole list. That is safe because
+    /// discoveries are integrated only after a walk ends: every offset in
+    /// the cursor has already had its older chain walked, so a concurrent
+    /// sync's integration can only end this walk earlier.
     fn learn(
         &self,
         stream: StreamId,
         tail: LogOffset,
         seq_backs: &[LogOffset],
     ) -> corfu::Result<()> {
-        let known: Vec<LogOffset> = {
+        let newest_known = {
             let mut cursors = self.cursors.lock();
-            cursors.entry(stream).or_insert_with(|| StreamCursor::new(stream)).offsets().to_vec()
+            cursors.entry(stream).or_insert_with(|| StreamCursor::new(stream)).max_known()
         };
-        let is_known = |off: LogOffset| known.binary_search(&off).is_ok();
+        let is_known =
+            |off: LogOffset| self.cursors.lock().get(&stream).is_some_and(|c| c.contains(off));
 
         // Offsets below a log's trim floor are reclaimed — a stale
         // sequencer backpointer landing there must not seed a walk into
@@ -508,7 +523,7 @@ impl StreamClient {
         // home moved (or its entries span logs). Journalled so a cluster
         // timeline shows readers reacting to the remap, not just the
         // coordinator performing it.
-        if let (Some(&newest), Some(&prev)) = (discovered.first(), known.last()) {
+        if let (Some(&newest), Some(prev)) = (discovered.first(), newest_known) {
             if log_of_offset(newest) != log_of_offset(prev) {
                 self.metrics.events.emit(
                     tango_metrics::EventKind::ShardRemapped,
@@ -550,11 +565,8 @@ impl StreamClient {
                     let log = log_of_offset(oldest);
                     // Scan down to the newest known member in this log, or
                     // to the log's trim floor — never into reclaimed slots.
-                    let lo = known
-                        .iter()
-                        .rev()
-                        .copied()
-                        .find(|&o| log_of_offset(o) == log)
+                    let lo = self
+                        .newest_known_in_log(stream, log)
                         .map(|o| o + 1)
                         .unwrap_or_else(|| compose(log, 0))
                         .max(self.trim_floor(log));
@@ -586,6 +598,15 @@ impl StreamClient {
         cursor.extend(discovered, tail);
         self.metrics.backpointer_walk.record(walked);
         Ok(())
+    }
+
+    /// The newest known member of `stream` homed in `log`. Composite
+    /// offsets sort by log first, so this is a binary search.
+    fn newest_known_in_log(&self, stream: StreamId, log: u32) -> Option<LogOffset> {
+        let cursors = self.cursors.lock();
+        let offsets = cursors.get(&stream)?.offsets();
+        let end = offsets.partition_point(|&o| log_of_offset(o) <= log);
+        offsets[..end].last().copied().filter(|&o| log_of_offset(o) == log)
     }
 
     /// Batched linear backward scan of `(lo..hi)`, pushing the offsets

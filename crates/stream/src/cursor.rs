@@ -39,6 +39,16 @@ impl StreamCursor {
         &self.offsets
     }
 
+    /// Whether `offset` is a known member (binary search).
+    pub fn contains(&self, offset: LogOffset) -> bool {
+        self.offsets.binary_search(&offset).is_ok()
+    }
+
+    /// The known member offsets strictly above `offset` (ascending).
+    pub fn offsets_after(&self, offset: LogOffset) -> &[LogOffset] {
+        &self.offsets[self.offsets.partition_point(|&o| o <= offset)..]
+    }
+
     /// The offset the next `readnext` will deliver, if any is known.
     pub fn peek(&self) -> Option<LogOffset> {
         self.offsets.get(self.next).copied()
@@ -70,9 +80,20 @@ impl StreamCursor {
     /// inserted at or below the last delivered offset are not delivered
     /// by this cursor, while insertions between the watermark and the
     /// next pending entry are.
+    ///
+    /// The steady state — every discovery sorts above the known maximum —
+    /// appends in place, so a sync costs its new entries rather than the
+    /// whole list.
     pub fn extend(&mut self, mut discovered: Vec<LogOffset>, tail: LogOffset) {
         discovered.sort_unstable();
         discovered.dedup();
+        self.synced_tail = self.synced_tail.max(tail);
+        let max = self.max_known();
+        if discovered.first().zip(max).is_none_or(|(&lowest, max)| lowest >= max) {
+            // Only a rediscovered maximum can duplicate a known offset here.
+            self.offsets.extend(discovered.into_iter().filter(|&d| max.is_none_or(|m| d > m)));
+            return;
+        }
         let watermark = self.next.checked_sub(1).map(|i| self.offsets[i]);
         let mut merged = Vec::with_capacity(self.offsets.len() + discovered.len());
         let mut a = self.offsets.iter().copied().peekable();
@@ -96,7 +117,6 @@ impl StreamCursor {
             Some(w) => self.offsets.partition_point(|&o| o <= w),
             None => 0,
         };
-        self.synced_tail = self.synced_tail.max(tail);
     }
 
     /// Repositions the iterator so the next delivered offset is the first
@@ -169,6 +189,72 @@ mod tests {
         c.extend(vec![40], 41);
         assert_eq!(c.advance(), Some(40));
         assert_eq!(c.offsets(), &[1, 5, 10, 15, 20, 25, 40]);
+    }
+
+    #[test]
+    fn extend_above_the_maximum_appends_in_place() {
+        let mut c = StreamCursor::new(1);
+        c.extend(vec![10, 20, 30], 31);
+        assert_eq!(c.advance(), Some(10));
+        c.extend(vec![50, 40], 51);
+        assert_eq!(c.offsets(), &[10, 20, 30, 40, 50]);
+        assert_eq!(c.peek(), Some(20), "next is preserved");
+        assert_eq!(c.synced_tail(), 51);
+        // A sync that discovers nothing still advances the synced tail
+        // and leaves the position alone.
+        c.extend(Vec::new(), 60);
+        assert_eq!(c.synced_tail(), 60);
+        assert_eq!(c.peek(), Some(20));
+        // The tail never moves backward.
+        c.extend(vec![70], 55);
+        assert_eq!(c.synced_tail(), 60);
+        assert_eq!(c.backlog(), 5);
+    }
+
+    #[test]
+    fn extend_drops_a_rediscovered_maximum() {
+        let mut c = StreamCursor::new(1);
+        c.extend(vec![5, 8], 9);
+        c.extend(vec![8, 12, 8], 13);
+        assert_eq!(c.offsets(), &[5, 8, 12]);
+        c.extend(vec![12], 14);
+        assert_eq!(c.offsets(), &[5, 8, 12]);
+        assert_eq!(c.synced_tail(), 14);
+        assert_eq!(c.advance(), Some(5));
+        assert_eq!(c.advance(), Some(8));
+        assert_eq!(c.advance(), Some(12));
+        assert_eq!(c.advance(), None);
+    }
+
+    #[test]
+    fn extend_mixing_below_and_above_the_maximum_merges() {
+        let mut c = StreamCursor::new(1);
+        c.extend(vec![10, 20, 30], 31);
+        assert_eq!(c.advance(), Some(10));
+        assert_eq!(c.advance(), Some(20));
+        // 15 sorts below the consumed watermark, 25 between it and the
+        // maximum, 30 duplicates the maximum, 40 is above it.
+        c.extend(vec![40, 15, 30, 25], 41);
+        assert_eq!(c.offsets(), &[10, 15, 20, 25, 30, 40]);
+        assert_eq!(c.advance(), Some(25), "insertions above the watermark deliver");
+        assert_eq!(c.advance(), Some(30));
+        assert_eq!(c.advance(), Some(40));
+        assert_eq!(c.advance(), None);
+        assert_eq!(c.synced_tail(), 41);
+    }
+
+    #[test]
+    fn contains_and_offsets_after() {
+        let mut c = StreamCursor::new(1);
+        assert!(!c.contains(0));
+        assert_eq!(c.offsets_after(0), &[] as &[LogOffset]);
+        c.extend(vec![3, 7, 11], 12);
+        assert!(c.contains(7));
+        assert!(!c.contains(8));
+        assert_eq!(c.offsets_after(7), &[11]);
+        assert_eq!(c.offsets_after(6), &[7, 11]);
+        assert_eq!(c.offsets_after(11), &[] as &[LogOffset]);
+        assert_eq!(c.offsets_after(0), &[3, 7, 11]);
     }
 
     #[test]

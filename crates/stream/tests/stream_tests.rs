@@ -356,3 +356,61 @@ fn cache_avoids_refetching_multiappend_entries() {
     assert_eq!(misses, 0, "hits={hits} misses={misses}");
     assert!(hits >= 20);
 }
+
+#[test]
+fn concurrent_syncs_of_one_stream_deliver_each_entry_once_in_order() {
+    // Two threads share one reader and race each other's syncs and
+    // readnexts on the same stream while a writer keeps appending, so
+    // learns overlap and each sees the other's discoveries land mid-walk.
+    let (cluster, writer) = cluster_with_client();
+    let reader = StreamClient::new(cluster.client().unwrap());
+    reader.open(1);
+    let done = AtomicBool::new(false);
+    let (expected, delivered) = std::thread::scope(|s| {
+        let players: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut got = Vec::new();
+                    loop {
+                        // Read the flag before syncing: a sync that starts
+                        // after the writer finished sees every entry.
+                        let last = done.load(Ordering::SeqCst);
+                        reader.sync(&[1]).unwrap();
+                        got.extend(drain(&reader, 1));
+                        if last {
+                            return got;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut expected = Vec::new();
+        for i in 0..400u64 {
+            // Interleave other streams so the chain needs backpointers,
+            // some entries joining stream 1 and others together.
+            let streams: &[StreamId] = match i % 4 {
+                0 => &[2],
+                1 => &[1, 2],
+                _ => &[1],
+            };
+            let off = writer.multiappend(streams, payload(i)).unwrap();
+            if streams.contains(&1) {
+                expected.push((off, payload(i)));
+            }
+            if i % 16 == 0 {
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        let delivered: Vec<Vec<(u64, Bytes)>> =
+            players.into_iter().map(|p| p.join().unwrap()).collect();
+        (expected, delivered)
+    });
+    for (player, got) in delivered.iter().enumerate() {
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "player {player} delivered out of order");
+    }
+    let mut all: Vec<(u64, Bytes)> = delivered.into_iter().flatten().collect();
+    all.sort_by_key(|&(off, _)| off);
+    assert_eq!(all.len(), expected.len(), "every entry delivered exactly once");
+    assert_eq!(all, expected);
+}
