@@ -90,8 +90,9 @@ fn bench_appends(
     threads: usize,
     per_thread: usize,
 ) -> f64 {
-    let cluster = TcpCluster::spawn(ClusterConfig::default()).expect("spawn tcp cluster");
-    let client = Arc::new(cluster.client_with_options(opts).expect("client"));
+    let config = ClusterConfig { client_options: opts, ..ClusterConfig::default() };
+    let cluster = TcpCluster::spawn(config).expect("spawn tcp cluster");
+    let client = Arc::new(cluster.client().expect("client"));
     let started = Instant::now();
     thread::scope(|s| {
         for t in 0..threads {

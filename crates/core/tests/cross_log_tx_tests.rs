@@ -301,7 +301,7 @@ fn faulted_tx_scenario(seed: u64) -> (Vec<String>, Vec<support::fault::TraceEven
         // it, reconfigure log 1 to a replacement sequencer (through the
         // clean client — recovery traffic is not part of the schedule).
         if !recovered && plan.trace().iter().any(|e| e.action == "crash") {
-            let (info, _server) = cluster.spawn_replacement_sequencer_for(1);
+            let (info, _server) = cluster.spawn_replacement_sequencer_for(1).unwrap();
             corfu::reconfig::replace_sequencer_in_log(&clean, 1, info, 4).unwrap();
             recovered = true;
             outcomes.push("recovered".to_owned());

@@ -1,23 +1,37 @@
-//! Cluster harnesses: spin up a full CORFU deployment in one process (for
-//! tests, examples and benchmarks) or over real TCP sockets.
+//! The cluster harness: a complete CORFU deployment — storage nodes, one
+//! sequencer per log and a metalog replica set — for tests, examples and
+//! benchmarks, over a pluggable [`Transport`].
 //!
-//! The in-process harness routes RPCs through the same wire encoding as the
-//! TCP transport, and supports failure injection: any node can be "killed"
-//! (its connections start failing) and replacement sequencers can be
-//! registered for reconfiguration tests.
+//! [`Cluster`] holds one node table keyed by [`NodeId`] and writes the
+//! deployment once: the genesis projection, the metalog bootstrap, failure
+//! injection (killing any node, which also stops its compactor), spawning
+//! replacement storage nodes, sequencers and metalog replicas, clients, and
+//! the health verdict. The transport only decides how a node is hosted,
+//! where its metrics live, how a client dials, and how a snapshot is read:
+//!
+//! - [`InProcess`] ([`LocalCluster`]) registers every handler in a shared
+//!   [`HandlerRegistry`]. Calls still go through the wire encoding, and every
+//!   node and client records into one deployment-wide registry.
+//! - [`Tcp`] ([`TcpCluster`]) puts each handler behind a [`TcpServer`] on an
+//!   ephemeral localhost port. Each node keeps its *own* registry, as in a
+//!   real deployment where processes cannot share an address space, and
+//!   exposes it through a per-node [`HttpScrapeServer`].
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use tango_flash::{FlashUnit, TieredStore};
 use tango_meta::{Dial, MetaClient, MetaNode, ReplicaInfo};
 use tango_metrics::{ClusterHealth, ClusterSnapshot, HealthPolicy, Registry};
 use tango_rpc::{
-    fetch_snapshot, ClientConn, ConnMetrics, HttpScrapeServer, RpcError, RpcHandler, TcpConn,
-    TcpServer,
+    fetch_snapshot, ClientConn, ConnMetrics, HttpScrapeServer, RpcError, RpcHandler, ServerMetrics,
+    ServerOptions, TcpConn, TcpServer,
 };
 use tango_wire::encode_to_vec;
 
@@ -27,7 +41,7 @@ use crate::layout::LayoutClient;
 use crate::projection::{LogLayout, ShardMap};
 use crate::sequencer::SequencerServer;
 use crate::storage::StorageServer;
-use crate::{NodeId, NodeInfo, Projection, Result};
+use crate::{CorfuError, NodeId, NodeInfo, Projection, Result};
 
 /// Geometry and tuning for a cluster.
 #[derive(Debug, Clone)]
@@ -48,7 +62,7 @@ pub struct ClusterConfig {
     /// `⌊n/2⌋` fail-stop crashes, so the default of 3 rides through any
     /// single replica failure.
     pub layout_replicas: usize,
-    /// Client options handed to [`LocalCluster::client`].
+    /// Client options handed to [`Cluster::client`], on either transport.
     pub client_options: ClientOptions,
     /// Page store each storage node runs on.
     pub storage: StorageBackend,
@@ -85,9 +99,9 @@ impl StorageBackend {
             StorageBackend::Tiered { root, pages_per_segment, hot_capacity } => {
                 let dir = root.join(format!("node-{node_id}"));
                 let store = TieredStore::open(&dir, page_size, *pages_per_segment, *hot_capacity)
-                    .map_err(|e| crate::CorfuError::Storage(e.to_string()))?;
+                    .map_err(|e| CorfuError::Storage(e.to_string()))?;
                 FlashUnit::open(Box::new(store), page_size)
-                    .map_err(|e| crate::CorfuError::Storage(e.to_string()))
+                    .map_err(|e| CorfuError::Storage(e.to_string()))
             }
         }
     }
@@ -182,129 +196,337 @@ impl ClientConn for RegistryConn {
     }
 }
 
-struct RegistryFactory {
-    registry: HandlerRegistry,
-}
-
-impl ConnFactory for RegistryFactory {
-    fn connect(&self, node: &NodeInfo) -> Arc<dyn ClientConn> {
-        Arc::new(RegistryConn { registry: self.registry.clone(), addr: node.addr.clone() })
-    }
-}
-
-/// A complete in-process CORFU deployment.
-pub struct LocalCluster {
-    config: ClusterConfig,
-    registry: HandlerRegistry,
-    meta_nodes: parking_lot::Mutex<HashMap<NodeId, Arc<MetaNode>>>,
-    layout_replicas: parking_lot::Mutex<Vec<ReplicaInfo>>,
-    sequencers: Vec<Arc<SequencerServer>>,
-    storage: Vec<Arc<StorageServer>>,
-    /// Background compactors (one per storage node when enabled). Held so
-    /// they stop when the cluster drops.
-    compactors: parking_lot::Mutex<Vec<Compactor>>,
-    sequencer_generation: std::sync::atomic::AtomicU32,
-    storage_generation: std::sync::atomic::AtomicU32,
-    layout_generation: std::sync::atomic::AtomicU32,
-    metrics: Registry,
-}
-
 /// Node id assigned to the first sequencer; replacements count up from it.
 pub const SEQUENCER_BASE_ID: NodeId = 10_000;
 
 /// Node id assigned to the first replacement storage node; further
 /// replacements count up from it. Kept above the sequencer range so node
-/// kind is recoverable from the id in either harness.
+/// kind is recoverable from the id.
 pub const STORAGE_REPLACEMENT_BASE_ID: NodeId = 20_000;
 
 /// Node id assigned to the first metalog (layout) replica; replacements
 /// count up past the initial set. Kept above the storage-replacement range
-/// so node kind is recoverable from the id in either harness.
+/// so node kind is recoverable from the id.
 pub const LAYOUT_BASE_ID: NodeId = 30_000;
 
+/// Replacement sequencer ids are `SEQUENCER_BASE_ID + generation * 100 +
+/// log`, so `(id - SEQUENCER_BASE_ID) % 100` recovers the log.
+const SEQUENCER_ID_STRIDE: NodeId = 100;
+
+/// A node's kind, recovered from its id range.
+fn kind_of(id: NodeId) -> &'static str {
+    if id >= LAYOUT_BASE_ID {
+        "layout"
+    } else if (SEQUENCER_BASE_ID..STORAGE_REPLACEMENT_BASE_ID).contains(&id) {
+        "sequencer"
+    } else {
+        "storage"
+    }
+}
+
+/// Node `id`'s monitoring name: its scrape target and its entry in the
+/// health verdict, `<kind>-<id>` except for the genesis sequencers, which
+/// are `sequencer-<log>` (bare `sequencer` for log 0).
+fn node_name(id: NodeId) -> String {
+    let log = id.wrapping_sub(SEQUENCER_BASE_ID);
+    match kind_of(id) {
+        "sequencer" if log == 0 => "sequencer".to_string(),
+        "sequencer" if log < SEQUENCER_ID_STRIDE => format!("sequencer-{log}"),
+        kind => format!("{kind}-{id}"),
+    }
+}
+
+/// How a [`Cluster`]'s nodes are hosted and reached.
+pub trait Transport: Send + Sync + Sized {
+    /// Keeps one hosted node reachable; dropping it takes the node down.
+    type Host: Send;
+
+    /// The name the cluster handle's own registry ([`Cluster::metrics`])
+    /// carries in a [`ClusterSnapshot`].
+    const METRICS_NODE: &'static str;
+
+    /// The registry a new node records into, given the deployment's.
+    fn node_registry(&self, deployment: &Registry) -> Registry;
+
+    /// Puts `handler` on the network as node `id`. Returns the address
+    /// clients dial and the host keeping it there.
+    fn host(
+        &self,
+        id: NodeId,
+        handler: Arc<dyn RpcHandler>,
+        registry: &Registry,
+    ) -> Result<(String, Self::Host)>;
+
+    /// The HTTP endpoint serving a hosted node's registry, if it has one.
+    fn scrape_addr(host: &Self::Host) -> Option<String>;
+
+    /// Dials nodes; connections record transport metrics into `metrics`.
+    fn conn_factory(&self, metrics: &Registry) -> Arc<dyn ConnFactory>;
+}
+
+/// The in-process transport: handlers live in one [`HandlerRegistry`] and
+/// every node records into the deployment-wide registry. Node addresses
+/// are `storage-<id>`, `sequencer-<id>` and `meta-<id>`.
+#[derive(Clone, Default)]
+pub struct InProcess {
+    handlers: HandlerRegistry,
+}
+
+/// An in-process node's registration; dropping it unregisters the handler.
+pub struct LocalHost {
+    handlers: HandlerRegistry,
+    addr: String,
+}
+
+impl Drop for LocalHost {
+    fn drop(&mut self) {
+        self.handlers.kill(&self.addr);
+    }
+}
+
+impl Transport for InProcess {
+    type Host = LocalHost;
+    const METRICS_NODE: &'static str = "local";
+
+    fn node_registry(&self, deployment: &Registry) -> Registry {
+        deployment.clone()
+    }
+
+    fn host(
+        &self,
+        id: NodeId,
+        handler: Arc<dyn RpcHandler>,
+        _registry: &Registry,
+    ) -> Result<(String, LocalHost)> {
+        let kind = match kind_of(id) {
+            "layout" => "meta",
+            kind => kind,
+        };
+        let addr = format!("{kind}-{id}");
+        self.handlers.register(addr.clone(), handler);
+        Ok((addr.clone(), LocalHost { handlers: self.handlers.clone(), addr }))
+    }
+
+    fn scrape_addr(_host: &LocalHost) -> Option<String> {
+        None
+    }
+
+    fn conn_factory(&self, _metrics: &Registry) -> Arc<dyn ConnFactory> {
+        let registry = self.handlers.clone();
+        Arc::new(move |node: &NodeInfo| -> Arc<dyn ClientConn> {
+            Arc::new(RegistryConn { registry: registry.clone(), addr: node.addr.clone() })
+        })
+    }
+}
+
+/// The TCP transport: each node is a [`TcpServer`] on an ephemeral
+/// localhost port with a private registry behind an [`HttpScrapeServer`].
+#[derive(Clone, Copy, Default)]
+pub struct Tcp;
+
+/// A TCP node's listener and scrape endpoint; dropping it shuts both down
+/// and drops open connections.
+pub struct TcpHost {
+    _server: TcpServer,
+    scrape: HttpScrapeServer,
+}
+
+impl Transport for Tcp {
+    type Host = TcpHost;
+    const METRICS_NODE: &'static str = "clients";
+
+    fn node_registry(&self, _deployment: &Registry) -> Registry {
+        Registry::new()
+    }
+
+    fn host(
+        &self,
+        _id: NodeId,
+        handler: Arc<dyn RpcHandler>,
+        registry: &Registry,
+    ) -> Result<(String, TcpHost)> {
+        // Surface the node's reactor health (connection gauge, dropped
+        // accepts) in its own registry so scrapes see transport pressure.
+        let options =
+            ServerOptions { metrics: ServerMetrics::from_registry(registry), ..Default::default() };
+        let server = TcpServer::spawn_with("127.0.0.1:0", handler, options)
+            .map_err(|e| CorfuError::Rpc(e.to_string()))?;
+        let scrape = HttpScrapeServer::spawn("127.0.0.1:0", registry.clone())
+            .map_err(|e| CorfuError::Rpc(e.to_string()))?;
+        Ok((server.local_addr().to_string(), TcpHost { _server: server, scrape }))
+    }
+
+    fn scrape_addr(host: &TcpHost) -> Option<String> {
+        Some(host.scrape.local_addr().to_string())
+    }
+
+    fn conn_factory(&self, metrics: &Registry) -> Arc<dyn ConnFactory> {
+        let conn_metrics = ConnMetrics::from_registry(metrics);
+        Arc::new(move |node: &NodeInfo| -> Arc<dyn ClientConn> {
+            Arc::new(TcpConn::new(node.addr.clone()).with_metrics(conn_metrics.clone()))
+        })
+    }
+}
+
+/// One live node of a [`Cluster`].
+struct Node<H> {
+    /// A storage node's background compactor, when compaction is on.
+    /// Declared first so a kill stops it before the node goes off the
+    /// network.
+    _compactor: Option<Compactor>,
+    host: H,
+    /// The server behind the handler, for typed lookups.
+    server: Arc<dyn Any + Send + Sync>,
+    registry: Registry,
+}
+
+/// A CORFU deployment over transport `T`.
+pub struct Cluster<T: Transport> {
+    config: ClusterConfig,
+    transport: T,
+    /// In-process: every node and client records here. TCP: the clients
+    /// only; each node keeps its own registry.
+    metrics: Registry,
+    /// Every live node. Killing a node removes it.
+    nodes: Mutex<HashMap<NodeId, Node<T::Host>>>,
+    /// The genesis storage servers, indexed by node id, killed ones included.
+    storage: Vec<Arc<StorageServer>>,
+    /// The current metalog replica set, in arbitration order.
+    layout_replicas: Mutex<Vec<ReplicaInfo>>,
+    /// Names of killed nodes still on the monitoring target list; they
+    /// count as unreachable in [`Cluster::cluster_health`] until
+    /// [`Cluster::retire_scrape_target`] (the "operator updated the target
+    /// list" step) removes them.
+    dead_targets: Mutex<Vec<String>>,
+    sequencer_generation: AtomicU32,
+    storage_generation: AtomicU32,
+    layout_generation: AtomicU32,
+}
+
+/// A cluster on the in-process transport.
+pub type LocalCluster = Cluster<InProcess>;
+
+/// A cluster over real TCP sockets on localhost.
+pub type TcpCluster = Cluster<Tcp>;
+
 impl LocalCluster {
-    /// Builds and wires up a cluster per `config`, with in-memory flash.
-    /// Every server and every [`LocalCluster::client`] records into one
-    /// shared metrics registry ([`LocalCluster::metrics`]).
+    /// Builds and wires up an in-process cluster per `config`. Every server
+    /// and every [`Cluster::client`] records into one shared metrics
+    /// registry ([`Cluster::metrics`]).
     pub fn new(config: ClusterConfig) -> Self {
-        let registry = HandlerRegistry::default();
-        let metrics = Registry::new();
-        let mut storage = Vec::new();
-        let mut compactors = Vec::new();
-        let mut sequencers = Vec::new();
+        Self::with_transport(InProcess::default(), config).expect("build in-process cluster")
+    }
+
+    /// The handler registry (for failure injection).
+    pub fn registry(&self) -> &HandlerRegistry {
+        &self.transport.handlers
+    }
+}
+
+impl TcpCluster {
+    /// Spawns every node on ephemeral localhost ports, each with a private
+    /// registry and a scrape endpoint.
+    pub fn spawn(config: ClusterConfig) -> Result<Self> {
+        Self::with_transport(Tcp, config)
+    }
+}
+
+impl<T: Transport> Cluster<T> {
+    /// Builds the genesis deployment per `config` over `transport`: each
+    /// log's storage nodes and sequencer, then the metalog replicas, each
+    /// bootstrapped with the genesis projection at position 0.
+    fn with_transport(transport: T, config: ClusterConfig) -> Result<Self> {
+        let mut cluster = Self {
+            config,
+            transport,
+            metrics: Registry::new(),
+            nodes: Mutex::new(HashMap::new()),
+            storage: Vec::new(),
+            layout_replicas: Mutex::new(Vec::new()),
+            dead_targets: Mutex::new(Vec::new()),
+            sequencer_generation: AtomicU32::new(1),
+            storage_generation: AtomicU32::new(0),
+            layout_generation: AtomicU32::new(0),
+        };
         let mut logs = Vec::new();
         let mut nodes = Vec::new();
         let mut next_id: NodeId = 0;
-        let num_logs = config.num_logs.max(1);
-        for log in 0..num_logs {
+        let num_logs = cluster.config.num_logs.max(1);
+        for log in 0..num_logs as u32 {
             let mut replica_sets = Vec::new();
-            for _ in 0..config.num_sets {
+            for _ in 0..cluster.config.num_sets {
                 let mut set = Vec::new();
-                for _ in 0..config.replication {
-                    let unit = config
-                        .storage
-                        .build_unit(next_id, config.page_size)
-                        .expect("open storage backend");
-                    let server = Arc::new(
-                        StorageServer::new(unit).with_metrics_for_log(&metrics, log as u64),
-                    );
-                    if let Some(cfg) = &config.compaction {
-                        compactors.push(Compactor::spawn(Arc::clone(&server), cfg.clone()));
-                    }
-                    let addr = format!("storage-{next_id}");
-                    registry.register(addr.clone(), Arc::clone(&server) as Arc<dyn RpcHandler>);
-                    storage.push(server);
-                    nodes.push(NodeInfo { id: next_id, addr });
+                for _ in 0..cluster.config.replication {
+                    let (info, server) = cluster.start_storage(next_id, log)?;
+                    cluster.storage.push(server);
+                    nodes.push(info);
                     set.push(next_id);
                     next_id += 1;
                 }
                 replica_sets.push(set);
             }
-            let sequencer = Arc::new(
-                SequencerServer::new_for_log(config.k_backpointers, log as u32)
-                    .with_metrics(&metrics),
-            );
-            let seq_id = SEQUENCER_BASE_ID + log as NodeId;
-            let seq_addr = format!("sequencer-{seq_id}");
-            registry.register(seq_addr.clone(), Arc::clone(&sequencer) as Arc<dyn RpcHandler>);
-            nodes.push(NodeInfo { id: seq_id, addr: seq_addr });
-            sequencers.push(sequencer);
-            logs.push(LogLayout { epoch: 0, replica_sets, sequencer: seq_id });
+            let (info, _) = cluster.start_sequencer(SEQUENCER_BASE_ID + log, log)?;
+            logs.push(LogLayout { epoch: 0, replica_sets, sequencer: info.id });
+            nodes.push(info);
         }
         let shard =
             if num_logs == 1 { ShardMap::single() } else { ShardMap::hashed(num_logs as u32) };
-        let projection = Projection { epoch: 0, logs, shard, nodes };
-        // The layout service: a replica set of metalog nodes, each
-        // bootstrapped with the genesis projection at position 0.
-        let genesis = Bytes::from(encode_to_vec(&projection));
-        let mut meta_nodes = HashMap::new();
-        let mut layout_set = Vec::new();
-        for i in 0..config.layout_replicas.max(1) {
-            let id = LAYOUT_BASE_ID + i as NodeId;
-            let addr = format!("meta-{id}");
-            let node = Arc::new(MetaNode::new().with_metrics(&metrics));
-            node.bootstrap(genesis.clone());
-            registry.register(addr.clone(), Arc::clone(&node) as Arc<dyn RpcHandler>);
-            layout_set.push(ReplicaInfo { id, addr });
-            meta_nodes.insert(id, node);
+        let genesis = Bytes::from(encode_to_vec(&Projection { epoch: 0, logs, shard, nodes }));
+        let metas = (0..cluster.config.layout_replicas.max(1) as NodeId)
+            .map(|i| cluster.start_layout(LAYOUT_BASE_ID + i))
+            .collect::<Result<Vec<_>>>()?;
+        let replicas: Vec<ReplicaInfo> = metas.iter().map(|(info, _)| info.clone()).collect();
+        for (_, meta) in &metas {
+            meta.bootstrap(genesis.clone());
+            meta.set_peers(replicas.clone());
         }
-        for node in meta_nodes.values() {
-            node.set_peers(layout_set.clone());
-        }
+        *cluster.layout_replicas.get_mut() = replicas;
+        Ok(cluster)
+    }
 
-        Self {
-            config,
-            registry,
-            meta_nodes: parking_lot::Mutex::new(meta_nodes),
-            layout_replicas: parking_lot::Mutex::new(layout_set),
-            sequencers,
-            storage,
-            compactors: parking_lot::Mutex::new(compactors),
-            sequencer_generation: std::sync::atomic::AtomicU32::new(1),
-            storage_generation: std::sync::atomic::AtomicU32::new(0),
-            layout_generation: std::sync::atomic::AtomicU32::new(0),
-            metrics,
-        }
+    /// Hosts `server` as node `id` and adds it to the node table.
+    fn start<S: RpcHandler + 'static>(
+        &self,
+        id: NodeId,
+        registry: Registry,
+        server: Arc<S>,
+        compactor: Option<Compactor>,
+    ) -> Result<NodeInfo> {
+        let (addr, host) = self.transport.host(id, Arc::clone(&server) as _, &registry)?;
+        self.nodes.lock().insert(id, Node { _compactor: compactor, host, server, registry });
+        Ok(NodeInfo { id, addr })
+    }
+
+    fn start_storage(&self, id: NodeId, log: u32) -> Result<(NodeInfo, Arc<StorageServer>)> {
+        let registry = self.transport.node_registry(&self.metrics);
+        let unit = self.config.storage.build_unit(id, self.config.page_size)?;
+        let server = Arc::new(StorageServer::new(unit).with_metrics_for_log(&registry, log as u64));
+        let compactor = self
+            .config
+            .compaction
+            .as_ref()
+            .map(|c| Compactor::spawn(Arc::clone(&server), c.clone()));
+        Ok((self.start(id, registry, Arc::clone(&server), compactor)?, server))
+    }
+
+    fn start_sequencer(&self, id: NodeId, log: u32) -> Result<(NodeInfo, Arc<SequencerServer>)> {
+        let registry = self.transport.node_registry(&self.metrics);
+        let server = Arc::new(
+            SequencerServer::new_for_log(self.config.k_backpointers, log).with_metrics(&registry),
+        );
+        Ok((self.start(id, registry, Arc::clone(&server), None)?, server))
+    }
+
+    fn start_layout(&self, id: NodeId) -> Result<(ReplicaInfo, Arc<MetaNode>)> {
+        let registry = self.transport.node_registry(&self.metrics);
+        let node = Arc::new(MetaNode::new().with_metrics(&registry));
+        let info = self.start(id, registry, Arc::clone(&node), None)?;
+        Ok((ReplicaInfo { id, addr: info.addr }, node))
+    }
+
+    /// Live node `id`'s server, if it is an `S`.
+    fn server<S: Send + Sync + 'static>(&self, id: NodeId) -> Option<Arc<S>> {
+        Arc::clone(&self.nodes.lock().get(&id)?.server).downcast().ok()
     }
 
     /// The cluster's configuration.
@@ -312,69 +534,28 @@ impl LocalCluster {
         &self.config
     }
 
-    /// The handler registry (for failure injection).
-    pub fn registry(&self) -> &HandlerRegistry {
-        &self.registry
-    }
-
-    /// The deployment-wide metrics registry: servers and all clients
-    /// created via [`LocalCluster::client`] record here.
+    /// The cluster handle's registry. In-process, every server and client
+    /// records here. Over TCP it holds the clients' `corfu.client.*`,
+    /// `stream.*`, `meta.*` and `rpc.*` instruments only; server-side
+    /// metrics live in the per-node registries, merged by
+    /// [`Cluster::cluster_snapshot`].
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
 
-    /// The in-process analogue of [`TcpCluster::cluster_snapshot`]: one
-    /// node named `"local"` holding the shared registry's snapshot, so
-    /// code written against [`ClusterSnapshot`] runs on either harness.
-    pub fn cluster_snapshot(&self) -> ClusterSnapshot {
-        let mut cluster = ClusterSnapshot::new();
-        cluster.insert("local", self.metrics.snapshot());
-        cluster
-    }
-
-    /// Health verdict over the shared registry (every scrape target is
-    /// in-process, so nothing is ever unreachable here).
-    pub fn cluster_health(&self) -> ClusterHealth {
-        ClusterHealth::evaluate(&self.cluster_snapshot(), &[], &HealthPolicy::default())
-    }
-
-    /// Creates a new client connected to the cluster.
+    /// Creates a new client with the configured
+    /// [`ClusterConfig::client_options`], recording into
+    /// [`Cluster::metrics`].
     pub fn client(&self) -> Result<CorfuClient> {
         self.client_with_metrics(self.metrics.clone())
     }
 
     /// Creates a client whose instruments record into `metrics` instead of
-    /// the cluster-wide registry. Pass [`Registry::disabled()`] to measure
-    /// the cost of the no-op instrumentation path.
+    /// the cluster handle's registry. Pass [`Registry::disabled()`] to
+    /// measure the cost of the no-op instrumentation path.
     pub fn client_with_metrics(&self, metrics: Registry) -> Result<CorfuClient> {
-        self.client_with_factory(self.conn_factory(), self.config.client_options.clone(), metrics)
-    }
-
-    /// The cluster's plain connection factory. Test harnesses (e.g. fault
-    /// injection) can wrap it and build clients via
-    /// [`LocalCluster::client_with_factory`].
-    pub fn conn_factory(&self) -> Arc<dyn ConnFactory> {
-        Arc::new(RegistryFactory { registry: self.registry.clone() })
-    }
-
-    /// A layout-service client stub over the metalog replica set.
-    pub fn layout_client(&self) -> LayoutClient {
-        self.layout_client_with(self.conn_factory(), &self.metrics)
-    }
-
-    /// A layout client dialing replicas through `factory` and recording
-    /// `meta.*` instruments into `metrics` — the hook fault-injection
-    /// harnesses use to interpose on layout traffic too.
-    pub fn layout_client_with(
-        &self,
-        factory: Arc<dyn ConnFactory>,
-        metrics: &Registry,
-    ) -> LayoutClient {
-        let replicas = self.layout_replicas.lock().clone();
-        let dial: Arc<dyn Dial> = Arc::new(move |replica: &ReplicaInfo| {
-            factory.connect(&NodeInfo { id: replica.id, addr: replica.addr.clone() })
-        });
-        LayoutClient::replicated(Arc::new(MetaClient::new(replicas, dial).with_metrics(metrics)))
+        let factory = self.transport.conn_factory(&metrics);
+        self.client_with_factory(factory, self.config.client_options.clone(), metrics)
     }
 
     /// Creates a client routing node connections through an arbitrary
@@ -390,85 +571,53 @@ impl LocalCluster {
         CorfuClient::with_options_and_metrics(layout, factory, options, metrics)
     }
 
-    /// Direct access to log 0's current sequencer server (for assertions).
-    pub fn sequencer(&self) -> &Arc<SequencerServer> {
-        &self.sequencers[0]
+    /// The cluster's plain connection factory. Test harnesses (e.g. fault
+    /// injection) can wrap it and build clients via
+    /// [`Cluster::client_with_factory`].
+    pub fn conn_factory(&self) -> Arc<dyn ConnFactory> {
+        self.transport.conn_factory(&self.metrics)
     }
 
-    /// Direct access to log `log`'s initial sequencer server.
-    pub fn sequencer_of(&self, log: u32) -> &Arc<SequencerServer> {
-        &self.sequencers[log as usize]
+    /// A layout-service client stub over the metalog replica set.
+    pub fn layout_client(&self) -> LayoutClient {
+        self.layout_client_with(self.conn_factory(), &self.metrics)
     }
 
-    /// Direct access to the storage servers, indexed by node id.
+    /// A layout client dialing replicas through `factory` and recording
+    /// `meta.*` instruments into `metrics` — the hook fault-injection
+    /// harnesses use to interpose on layout traffic too.
+    pub fn layout_client_with(
+        &self,
+        factory: Arc<dyn ConnFactory>,
+        metrics: &Registry,
+    ) -> LayoutClient {
+        let meta = MetaClient::new(self.layout_replicas(), dial(factory)).with_metrics(metrics);
+        LayoutClient::replicated(Arc::new(meta))
+    }
+
+    /// The genesis storage servers, indexed by node id (killed ones
+    /// included), for direct assertions.
     pub fn storage(&self) -> &[Arc<StorageServer>] {
         &self.storage
     }
 
-    /// Kills log 0's current sequencer (its address stops resolving).
-    pub fn kill_sequencer(&self) {
-        self.kill_sequencer_of(0)
+    /// Log `log`'s genesis sequencer server (for assertions). `None` once
+    /// killed.
+    pub fn sequencer_of(&self, log: u32) -> Option<Arc<SequencerServer>> {
+        self.server(SEQUENCER_BASE_ID + log)
     }
 
-    /// Kills log `log`'s current sequencer.
-    pub fn kill_sequencer_of(&self, log: u32) {
-        if let Ok(p) = self.layout_client().get() {
-            if let Some(addr) = p.addr_of(p.sequencer_of(log)) {
-                self.registry.kill(addr);
-            }
-        }
+    /// One live storage node's server, replacements included (for
+    /// assertions on tier stats or manual compaction). `None` for unknown
+    /// or killed nodes.
+    pub fn storage_server(&self, id: NodeId) -> Option<Arc<StorageServer>> {
+        self.server(id)
     }
 
-    /// Registers a fresh, empty sequencer server for log 0 and returns its
-    /// node info, ready to be handed to
-    /// [`crate::reconfig::replace_sequencer`].
-    pub fn spawn_replacement_sequencer(&self) -> (NodeInfo, Arc<SequencerServer>) {
-        self.spawn_replacement_sequencer_for(0)
-    }
-
-    /// Registers a fresh, empty sequencer server for log `log`. Replacement
-    /// ids are `SEQUENCER_BASE_ID + generation*100 + log`, so fault
-    /// harnesses can recover the log id from a replacement's node id
-    /// (`(id - SEQUENCER_BASE_ID) % 100`).
-    pub fn spawn_replacement_sequencer_for(&self, log: u32) -> (NodeInfo, Arc<SequencerServer>) {
-        let gen = self.sequencer_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = SEQUENCER_BASE_ID + gen * 100 + log;
-        let addr = format!("sequencer-{id}");
-        let server = Arc::new(
-            SequencerServer::new_for_log(self.config.k_backpointers, log)
-                .with_metrics(&self.metrics),
-        );
-        self.registry.register(addr.clone(), Arc::clone(&server) as Arc<dyn RpcHandler>);
-        (NodeInfo { id, addr }, server)
-    }
-
-    /// Kills the storage node `id`: its address stops resolving, so every
-    /// subsequent call to it fails with `Disconnected`.
-    pub fn kill_storage_node(&self, id: NodeId) {
-        if let Ok(p) = self.layout_client().get() {
-            if let Some(addr) = p.addr_of(id) {
-                self.registry.kill(addr);
-            }
-        }
-    }
-
-    /// Registers a fresh, empty storage server and returns its node info,
-    /// ready to be handed to [`crate::reconfig::replace_storage_node`].
-    pub fn spawn_replacement_storage(&self) -> (NodeInfo, Arc<StorageServer>) {
-        let gen = self.storage_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = STORAGE_REPLACEMENT_BASE_ID + gen;
-        let addr = format!("storage-{id}");
-        let unit = self
-            .config
-            .storage
-            .build_unit(id, self.config.page_size)
-            .expect("open storage backend");
-        let server = Arc::new(StorageServer::new(unit).with_metrics(&self.metrics));
-        if let Some(cfg) = &self.config.compaction {
-            self.compactors.lock().push(Compactor::spawn(Arc::clone(&server), cfg.clone()));
-        }
-        self.registry.register(addr.clone(), Arc::clone(&server) as Arc<dyn RpcHandler>);
-        (NodeInfo { id, addr }, server)
+    /// One live metalog replica (for assertions). `None` for unknown or
+    /// killed replicas.
+    pub fn meta_node(&self, id: NodeId) -> Option<Arc<MetaNode>> {
+        self.server(id)
     }
 
     /// The current metalog (layout) replica set, in arbitration order.
@@ -478,254 +627,119 @@ impl LocalCluster {
         self.layout_replicas.lock().clone()
     }
 
-    /// Direct access to a live metalog replica (for assertions). `None`
-    /// for unknown or killed replicas.
-    pub fn meta_node(&self, id: NodeId) -> Option<Arc<MetaNode>> {
-        self.meta_nodes.lock().get(&id).cloned()
+    /// The registry live node `id` records into (the shared one
+    /// in-process). `None` for unknown or killed nodes.
+    pub fn storage_registry(&self, id: NodeId) -> Option<Registry> {
+        self.nodes.lock().get(&id).map(|n| n.registry.clone())
     }
 
-    /// Kills the metalog replica `id`: its address stops resolving, so
-    /// every subsequent call to it fails with `Disconnected`. Membership is
-    /// untouched — quorum clients ride through on the survivors.
-    pub fn kill_layout_replica(&self, id: NodeId) {
-        let replicas = self.layout_replicas.lock().clone();
-        if let Some(r) = replicas.iter().find(|r| r.id == id) {
-            self.registry.kill(&r.addr);
+    /// Log `log`'s genesis sequencer's registry; a disabled (empty) one
+    /// once that sequencer is killed.
+    pub fn sequencer_registry_of(&self, log: u32) -> Registry {
+        self.storage_registry(SEQUENCER_BASE_ID + log).unwrap_or_default()
+    }
+
+    /// One metalog replica's registry (for assertions on `meta.node.*`).
+    /// `None` for unknown or killed replicas.
+    pub fn layout_registry(&self, id: NodeId) -> Option<Registry> {
+        self.storage_registry(id)
+    }
+
+    /// Kills node `id`: its compactor stops, it goes off the network, and
+    /// every later call to it fails. Membership is untouched. The node
+    /// counts as unreachable until [`Cluster::retire_scrape_target`].
+    pub fn kill(&self, id: NodeId) {
+        let node = self.nodes.lock().remove(&id);
+        if node.is_some() {
+            self.dead_targets.lock().push(node_name(id));
         }
-        self.meta_nodes.lock().remove(&id);
     }
 
-    /// Replaces the crashed metalog replica `dead`: spawns a fresh node,
+    /// Kills log `log`'s current sequencer.
+    pub fn kill_sequencer_of(&self, log: u32) {
+        if let Ok(p) = self.layout_client().get() {
+            self.kill(p.sequencer_of(log));
+        }
+    }
+
+    /// Starts a fresh, empty storage server and returns its node info,
+    /// ready for [`crate::reconfig::replace_storage_node`].
+    pub fn spawn_replacement_storage(&self) -> Result<(NodeInfo, Arc<StorageServer>)> {
+        let gen = self.storage_generation.fetch_add(1, Ordering::SeqCst);
+        self.start_storage(STORAGE_REPLACEMENT_BASE_ID + gen, 0)
+    }
+
+    /// Starts a fresh, empty sequencer for log `log`, with an id that
+    /// encodes the log (see `SEQUENCER_ID_STRIDE`), and returns its node
+    /// info, ready for [`crate::reconfig::replace_sequencer`].
+    pub fn spawn_replacement_sequencer_for(
+        &self,
+        log: u32,
+    ) -> Result<(NodeInfo, Arc<SequencerServer>)> {
+        let gen = self.sequencer_generation.fetch_add(1, Ordering::SeqCst);
+        self.start_sequencer(SEQUENCER_BASE_ID + gen * SEQUENCER_ID_STRIDE + log, log)
+    }
+
+    /// Replaces the crashed metalog replica `dead`: starts a fresh node,
     /// copies every decided record onto it from the surviving quorum
     /// (catch-up), then installs the new replica set on all members — the
     /// metalog analogue of [`crate::reconfig::replace_storage_node`]'s
-    /// chain rebuild.
+    /// chain rebuild. The dead replica leaves the monitoring target list
+    /// along with the membership.
     pub fn replace_layout_replica(&self, dead: NodeId) -> Result<ReplicaInfo> {
-        let gen = self.layout_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        let gen = self.layout_generation.fetch_add(1, Ordering::SeqCst);
         let id = LAYOUT_BASE_ID + self.config.layout_replicas.max(1) as NodeId + gen;
-        let addr = format!("meta-{id}");
-        let node = Arc::new(MetaNode::new().with_metrics(&self.metrics));
-        self.registry.register(addr.clone(), Arc::clone(&node) as Arc<dyn RpcHandler>);
-        let info = ReplicaInfo { id, addr: addr.clone() };
+        let (info, _node) = self.start_layout(id)?;
 
-        let survivors: Vec<ReplicaInfo> =
-            self.layout_replicas.lock().iter().filter(|r| r.id != dead).cloned().collect();
-        let registry = self.registry.clone();
-        let dial: Arc<dyn Dial> = Arc::new(move |replica: &ReplicaInfo| -> Arc<dyn ClientConn> {
-            Arc::new(RegistryConn { registry: registry.clone(), addr: replica.addr.clone() })
-        });
-        let meta = MetaClient::new(survivors.clone(), dial);
-        let target: Arc<dyn ClientConn> =
-            Arc::new(RegistryConn { registry: self.registry.clone(), addr });
-        meta.catch_up(&target)?;
+        let mut replicas = self.layout_replicas();
+        replicas.retain(|r| r.id != dead);
+        let factory = self.conn_factory();
+        let meta = MetaClient::new(replicas.clone(), dial(Arc::clone(&factory)));
+        meta.catch_up(&factory.connect(&NodeInfo { id, addr: info.addr.clone() }))?;
 
-        let mut new_set = survivors;
-        new_set.push(info.clone());
-        meta.install_peers(new_set.clone())?;
-        *self.layout_replicas.lock() = new_set;
-        self.meta_nodes.lock().insert(id, node);
+        replicas.push(info.clone());
+        meta.install_peers(replicas.clone())?;
+        *self.layout_replicas.lock() = replicas;
+        self.retire_scrape_target(&node_name(dead));
         Ok(info)
     }
-}
 
-/// One node of a [`TcpCluster`]: its RPC server, its private metrics
-/// registry, and the HTTP scrape endpoint exposing that registry.
-struct TcpNode {
-    name: String,
-    registry: Registry,
-    server: TcpServer,
-    scrape: HttpScrapeServer,
-}
-
-impl TcpNode {
-    fn spawn(name: String, handler: Arc<dyn RpcHandler>, registry: Registry) -> Result<Self> {
-        // Surface the node's reactor health (connection gauge, dropped
-        // accepts) in its own registry so scrapes see transport pressure.
-        let options = tango_rpc::ServerOptions {
-            metrics: tango_rpc::ServerMetrics::from_registry(&registry),
-            ..Default::default()
-        };
-        let server = TcpServer::spawn_with("127.0.0.1:0", handler, options)
-            .map_err(|e| crate::CorfuError::Rpc(e.to_string()))?;
-        let scrape = HttpScrapeServer::spawn("127.0.0.1:0", registry.clone())
-            .map_err(|e| crate::CorfuError::Rpc(e.to_string()))?;
-        Ok(Self { name, registry, server, scrape })
-    }
-}
-
-/// A CORFU deployment over real TCP sockets on localhost: the same servers,
-/// each behind a [`TcpServer`]. Useful for end-to-end integration tests.
-/// Storage nodes can be killed (their listener shuts down) and replacements
-/// spawned, mirroring the [`LocalCluster`] failure-injection API.
-///
-/// Unlike [`LocalCluster`], every node here keeps its *own* metrics
-/// registry — exactly like a real deployment, where processes cannot share
-/// an address space — and exposes it through a per-node
-/// [`HttpScrapeServer`]. [`TcpCluster::cluster_snapshot`] scrapes every
-/// node over HTTP and merges the results; [`TcpCluster::metrics`] is the
-/// client-side registry only.
-pub struct TcpCluster {
-    config: ClusterConfig,
-    /// Storage nodes by id; removing one drops it, which shuts the
-    /// listener (and its scrape endpoint) down and disconnects clients.
-    storage_servers: parking_lot::Mutex<HashMap<NodeId, TcpNode>>,
-    /// The storage servers behind the listeners, for direct assertions
-    /// (tier stats, compaction reports) without an RPC round trip.
-    storage_handles: parking_lot::Mutex<HashMap<NodeId, Arc<StorageServer>>>,
-    /// Per-node background compactors when [`ClusterConfig::compaction`]
-    /// is set; killing a node stops its compactor.
-    compactors: parking_lot::Mutex<HashMap<NodeId, Compactor>>,
-    /// Metalog (layout) replicas by id, each with its own registry and
-    /// scrape endpoint; removing one simulates a layout-replica crash.
-    layout_servers: parking_lot::Mutex<HashMap<NodeId, TcpNode>>,
-    /// The current metalog replica set, in arbitration order.
-    layout_replicas: parking_lot::Mutex<Vec<ReplicaInfo>>,
-    /// Keep the sequencer node alive.
-    aux_servers: Vec<TcpNode>,
-    storage_generation: std::sync::atomic::AtomicU32,
-    layout_generation: std::sync::atomic::AtomicU32,
-    metrics: Registry,
-    /// Names of killed nodes still on the monitoring target list; they
-    /// count as unreachable in [`TcpCluster::cluster_health`] until
-    /// [`TcpCluster::retire_scrape_target`] (the "operator updated the
-    /// target list" step) removes them.
-    dead_targets: parking_lot::Mutex<Vec<String>>,
-}
-
-impl TcpCluster {
-    /// Spawns storage nodes, a sequencer, and a layout service on ephemeral
-    /// localhost ports, each with a private registry and a scrape endpoint.
-    /// Clients created via [`TcpCluster::client`] record into the cluster
-    /// handle's own registry ([`TcpCluster::metrics`]), including their TCP
-    /// connections' `rpc.*` transport metrics.
-    pub fn spawn(config: ClusterConfig) -> Result<Self> {
-        let metrics = Registry::new();
-        let mut storage_servers = HashMap::new();
-        let mut storage_handles = HashMap::new();
-        let mut compactors = HashMap::new();
-        let mut aux_servers = Vec::new();
-        let mut logs = Vec::new();
-        let mut nodes = Vec::new();
-        let mut next_id: NodeId = 0;
-        let num_logs = config.num_logs.max(1);
-        for log in 0..num_logs {
-            let mut replica_sets = Vec::new();
-            for _ in 0..config.num_sets {
-                let mut set = Vec::new();
-                for _ in 0..config.replication {
-                    let registry = Registry::new();
-                    let unit = config.storage.build_unit(next_id, config.page_size)?;
-                    let server = Arc::new(
-                        StorageServer::new(unit).with_metrics_for_log(&registry, log as u64),
-                    );
-                    if let Some(cfg) = &config.compaction {
-                        compactors
-                            .insert(next_id, Compactor::spawn(Arc::clone(&server), cfg.clone()));
-                    }
-                    let handler: Arc<dyn RpcHandler> = Arc::clone(&server) as Arc<dyn RpcHandler>;
-                    storage_handles.insert(next_id, server);
-                    let node = TcpNode::spawn(format!("storage-{next_id}"), handler, registry)?;
-                    nodes
-                        .push(NodeInfo { id: next_id, addr: node.server.local_addr().to_string() });
-                    storage_servers.insert(next_id, node);
-                    set.push(next_id);
-                    next_id += 1;
-                }
-                replica_sets.push(set);
-            }
-            let seq_registry = Registry::new();
-            let seq_handler: Arc<dyn RpcHandler> = Arc::new(
-                SequencerServer::new_for_log(config.k_backpointers, log as u32)
-                    .with_metrics(&seq_registry),
-            );
-            let seq_id = SEQUENCER_BASE_ID + log as NodeId;
-            let name = if log == 0 { "sequencer".to_string() } else { format!("sequencer-{log}") };
-            let seq_node = TcpNode::spawn(name, seq_handler, seq_registry)?;
-            nodes.push(NodeInfo { id: seq_id, addr: seq_node.server.local_addr().to_string() });
-            aux_servers.push(seq_node);
-            logs.push(LogLayout { epoch: 0, replica_sets, sequencer: seq_id });
-        }
-        let shard =
-            if num_logs == 1 { ShardMap::single() } else { ShardMap::hashed(num_logs as u32) };
-        let projection = Projection { epoch: 0, logs, shard, nodes };
-        // The layout service: metalog replicas on their own ports, each
-        // with a private registry (`meta.node.*`) and scrape endpoint.
-        let genesis = Bytes::from(encode_to_vec(&projection));
-        let mut layout_servers = HashMap::new();
-        let mut layout_set = Vec::new();
-        let mut meta_handles = Vec::new();
-        for i in 0..config.layout_replicas.max(1) {
-            let id = LAYOUT_BASE_ID + i as NodeId;
-            let registry = Registry::new();
-            let meta = Arc::new(MetaNode::new().with_metrics(&registry));
-            meta.bootstrap(genesis.clone());
-            let node = TcpNode::spawn(
-                format!("layout-{id}"),
-                Arc::clone(&meta) as Arc<dyn RpcHandler>,
-                registry,
-            )?;
-            layout_set.push(ReplicaInfo { id, addr: node.server.local_addr().to_string() });
-            layout_servers.insert(id, node);
-            meta_handles.push(meta);
-        }
-        for meta in &meta_handles {
-            meta.set_peers(layout_set.clone());
-        }
-
-        Ok(Self {
-            config,
-            storage_servers: parking_lot::Mutex::new(storage_servers),
-            storage_handles: parking_lot::Mutex::new(storage_handles),
-            compactors: parking_lot::Mutex::new(compactors),
-            layout_servers: parking_lot::Mutex::new(layout_servers),
-            layout_replicas: parking_lot::Mutex::new(layout_set),
-            aux_servers,
-            storage_generation: std::sync::atomic::AtomicU32::new(0),
-            layout_generation: std::sync::atomic::AtomicU32::new(0),
-            metrics,
-            dead_targets: parking_lot::Mutex::new(Vec::new()),
-        })
-    }
-
-    /// The *client-side* metrics registry: every client created through
-    /// [`TcpCluster::client`] records its `corfu.client.*`, `stream.*`, and
-    /// `rpc.*` instruments here. Server-side metrics live in the per-node
-    /// registries; scrape them via [`TcpCluster::cluster_snapshot`].
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// The live scrape endpoints, as `(node_name, http_addr)` pairs. The
-    /// client-side registry is not listed — it has no HTTP endpoint.
+    /// The live HTTP scrape endpoints, as `(node_name, http_addr)` pairs.
+    /// In-process nodes have none: they record into the shared registry.
     pub fn scrape_targets(&self) -> Vec<(String, String)> {
         let mut targets: Vec<(String, String)> = self
-            .aux_servers
+            .nodes
+            .lock()
             .iter()
-            .map(|n| (n.name.clone(), n.scrape.local_addr().to_string()))
+            .filter_map(|(id, node)| Some((node_name(*id), T::scrape_addr(&node.host)?)))
             .collect();
-        for node in self.storage_servers.lock().values() {
-            targets.push((node.name.clone(), node.scrape.local_addr().to_string()));
-        }
-        for node in self.layout_servers.lock().values() {
-            targets.push((node.name.clone(), node.scrape.local_addr().to_string()));
-        }
         targets.sort();
         targets
     }
 
-    /// Scrapes every live node's `/snapshot.bin` over HTTP and merges the
-    /// results into a [`ClusterSnapshot`], adding the client-side registry
-    /// under the node name `"clients"`. Nodes that fail to answer (e.g.
-    /// killed ones) are skipped — a scrape must not wedge on a dead node.
-    pub fn cluster_snapshot(&self) -> ClusterSnapshot {
+    /// Scrapes every live target and merges the results with the cluster
+    /// handle's registry (named [`Transport::METRICS_NODE`]). Also returns
+    /// the targets that failed to answer — a scrape must not wedge on a
+    /// dead node.
+    fn scrape(&self) -> (ClusterSnapshot, Vec<String>) {
         let mut cluster = ClusterSnapshot::new();
+        let mut unreachable = Vec::new();
         for (name, addr) in self.scrape_targets() {
-            if let Ok(snap) = fetch_snapshot(&addr, std::time::Duration::from_secs(2)) {
-                cluster.insert(name, snap);
+            match fetch_snapshot(&addr, Duration::from_secs(2)) {
+                Ok(snap) => cluster.insert(name, snap),
+                Err(_) => unreachable.push(name),
             }
         }
-        cluster.insert("clients", self.metrics.snapshot());
-        cluster
+        cluster.insert(T::METRICS_NODE, self.metrics.snapshot());
+        (cluster, unreachable)
+    }
+
+    /// Every registry in the deployment as one [`ClusterSnapshot`]: the
+    /// shared one in-process (node `"local"`); over TCP, each live node's
+    /// `/snapshot.bin` scraped over HTTP plus the clients' (node
+    /// `"clients"`). Nodes that fail to answer are skipped.
+    pub fn cluster_snapshot(&self) -> ClusterSnapshot {
+        self.scrape().0
     }
 
     /// Scrapes the cluster and evaluates [`ClusterHealth`]: live targets
@@ -734,21 +748,10 @@ impl TcpCluster {
     /// once a metalog majority is gone) until repair *and* target-list
     /// cleanup bring it back to `ok`.
     pub fn cluster_health(&self) -> ClusterHealth {
-        self.cluster_health_with(&HealthPolicy::default())
-    }
-
-    /// [`TcpCluster::cluster_health`] under an explicit policy.
-    pub fn cluster_health_with(&self, policy: &HealthPolicy) -> ClusterHealth {
-        let mut cluster = ClusterSnapshot::new();
-        let mut unreachable: Vec<String> = self.dead_targets.lock().clone();
-        for (name, addr) in self.scrape_targets() {
-            match fetch_snapshot(&addr, std::time::Duration::from_secs(2)) {
-                Ok(snap) => cluster.insert(name, snap),
-                Err(_) => unreachable.push(name),
-            }
-        }
-        cluster.insert("clients", self.metrics.snapshot());
-        ClusterHealth::evaluate(&cluster, &unreachable, policy)
+        let (cluster, scrape_failures) = self.scrape();
+        let mut unreachable = self.dead_targets.lock().clone();
+        unreachable.extend(scrape_failures);
+        ClusterHealth::evaluate(&cluster, &unreachable, &HealthPolicy::default())
     }
 
     /// Drops `name` from the dead-target list after its replacement is in
@@ -756,150 +759,11 @@ impl TcpCluster {
     pub fn retire_scrape_target(&self, name: &str) {
         self.dead_targets.lock().retain(|n| n != name);
     }
+}
 
-    /// Direct access to one storage node's registry (for assertions that
-    /// would otherwise need an HTTP round trip). `None` for unknown or
-    /// killed nodes.
-    pub fn storage_registry(&self, id: NodeId) -> Option<Registry> {
-        self.storage_servers.lock().get(&id).map(|n| n.registry.clone())
-    }
-
-    /// Log 0's sequencer node registry.
-    pub fn sequencer_registry(&self) -> Registry {
-        self.aux_servers[0].registry.clone()
-    }
-
-    /// Log `log`'s sequencer node registry (aux servers are one per log,
-    /// in log order).
-    pub fn sequencer_registry_of(&self, log: u32) -> Registry {
-        self.aux_servers[log as usize].registry.clone()
-    }
-
-    /// Kills the storage node `id`: its TCP listener and scrape endpoint
-    /// shut down and open connections drop, so subsequent calls to it fail.
-    /// The node stays on the monitoring target list (unreachable) until
-    /// [`TcpCluster::retire_scrape_target`].
-    pub fn kill_storage_node(&self, id: NodeId) {
-        // Stop the node's compactor first so no background pass runs on a
-        // "dead" unit, then drop the server handle — with a tiered backend
-        // that loses the RAM hot tail, exactly like a real crash.
-        if let Some(mut compactor) = self.compactors.lock().remove(&id) {
-            compactor.stop();
-        }
-        self.storage_handles.lock().remove(&id);
-        if let Some(node) = self.storage_servers.lock().remove(&id) {
-            self.dead_targets.lock().push(node.name.clone());
-        }
-    }
-
-    /// Direct access to one storage node's server (for assertions on tier
-    /// stats or manual compaction). `None` for unknown or killed nodes.
-    pub fn storage_server(&self, id: NodeId) -> Option<Arc<StorageServer>> {
-        self.storage_handles.lock().get(&id).cloned()
-    }
-
-    /// Spawns a fresh, empty storage server on an ephemeral port (with its
-    /// own registry and scrape endpoint) and returns its node info, ready
-    /// for [`crate::reconfig::replace_storage_node`].
-    pub fn spawn_replacement_storage(&self) -> Result<NodeInfo> {
-        let gen = self.storage_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = STORAGE_REPLACEMENT_BASE_ID + gen;
-        let registry = Registry::new();
-        let unit = self.config.storage.build_unit(id, self.config.page_size)?;
-        let server = Arc::new(StorageServer::new(unit).with_metrics(&registry));
-        if let Some(cfg) = &self.config.compaction {
-            self.compactors.lock().insert(id, Compactor::spawn(Arc::clone(&server), cfg.clone()));
-        }
-        let handler: Arc<dyn RpcHandler> = Arc::clone(&server) as Arc<dyn RpcHandler>;
-        let node = TcpNode::spawn(format!("storage-{id}"), handler, registry)?;
-        let info = NodeInfo { id, addr: node.server.local_addr().to_string() };
-        self.storage_handles.lock().insert(id, server);
-        self.storage_servers.lock().insert(id, node);
-        Ok(info)
-    }
-
-    /// Creates a client that talks to the cluster over TCP.
-    pub fn client(&self) -> Result<CorfuClient> {
-        self.client_with_options(ClientOptions::default())
-    }
-
-    /// Creates a TCP client with explicit options (e.g.
-    /// [`ClientOptions::batched`] for §5's sequencer token batching).
-    pub fn client_with_options(&self, opts: ClientOptions) -> Result<CorfuClient> {
-        let conn_metrics = ConnMetrics::from_registry(&self.metrics);
-        let layout = self.layout_client();
-        let factory: Arc<dyn ConnFactory> =
-            Arc::new(move |node: &NodeInfo| -> Arc<dyn ClientConn> {
-                Arc::new(TcpConn::new(node.addr.clone()).with_metrics(conn_metrics.clone()))
-            });
-        CorfuClient::with_options_and_metrics(layout, factory, opts, self.metrics.clone())
-    }
-
-    fn tcp_dial(&self) -> Arc<dyn Dial> {
-        let conn_metrics = ConnMetrics::from_registry(&self.metrics);
-        Arc::new(move |replica: &ReplicaInfo| -> Arc<dyn ClientConn> {
-            Arc::new(TcpConn::new(replica.addr.clone()).with_metrics(conn_metrics.clone()))
-        })
-    }
-
-    /// A layout-service client stub over the metalog replica set (TCP).
-    pub fn layout_client(&self) -> LayoutClient {
-        let replicas = self.layout_replicas.lock().clone();
-        LayoutClient::replicated(Arc::new(
-            MetaClient::new(replicas, self.tcp_dial()).with_metrics(&self.metrics),
-        ))
-    }
-
-    /// The current metalog (layout) replica set, in arbitration order.
-    pub fn layout_replicas(&self) -> Vec<ReplicaInfo> {
-        self.layout_replicas.lock().clone()
-    }
-
-    /// One metalog replica's registry (for assertions on `meta.node.*`
-    /// without an HTTP round trip). `None` for unknown or killed replicas.
-    pub fn layout_registry(&self, id: NodeId) -> Option<Registry> {
-        self.layout_servers.lock().get(&id).map(|n| n.registry.clone())
-    }
-
-    /// Kills the metalog replica `id`: its TCP listener and scrape
-    /// endpoint shut down and open connections drop. Membership is
-    /// untouched — quorum clients ride through on the survivors.
-    pub fn kill_layout_replica(&self, id: NodeId) {
-        if let Some(node) = self.layout_servers.lock().remove(&id) {
-            self.dead_targets.lock().push(node.name.clone());
-        }
-    }
-
-    /// Replaces the crashed metalog replica `dead`: spawns a fresh node on
-    /// an ephemeral port, catch-up copies every decided record onto it from
-    /// the surviving quorum, then installs the new replica set on all
-    /// members.
-    pub fn replace_layout_replica(&self, dead: NodeId) -> Result<ReplicaInfo> {
-        let gen = self.layout_generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let id = LAYOUT_BASE_ID + self.config.layout_replicas.max(1) as NodeId + gen;
-        let registry = Registry::new();
-        let meta = Arc::new(MetaNode::new().with_metrics(&registry));
-        let node = TcpNode::spawn(
-            format!("layout-{id}"),
-            Arc::clone(&meta) as Arc<dyn RpcHandler>,
-            registry,
-        )?;
-        let info = ReplicaInfo { id, addr: node.server.local_addr().to_string() };
-
-        let survivors: Vec<ReplicaInfo> =
-            self.layout_replicas.lock().iter().filter(|r| r.id != dead).cloned().collect();
-        let client = MetaClient::new(survivors.clone(), self.tcp_dial());
-        let target: Arc<dyn ClientConn> = Arc::new(TcpConn::new(info.addr.clone()));
-        client.catch_up(&target)?;
-
-        let mut new_set = survivors;
-        new_set.push(info.clone());
-        client.install_peers(new_set.clone())?;
-        *self.layout_replicas.lock() = new_set;
-        self.layout_servers.lock().insert(id, node);
-        // The replacement is serving: the dead replica leaves the
-        // monitoring target list along with the membership.
-        self.retire_scrape_target(&format!("layout-{dead}"));
-        Ok(info)
-    }
+/// Dials metalog replicas through a node connection factory.
+fn dial(factory: Arc<dyn ConnFactory>) -> Arc<dyn Dial> {
+    Arc::new(move |replica: &ReplicaInfo| {
+        factory.connect(&NodeInfo { id: replica.id, addr: replica.addr.clone() })
+    })
 }

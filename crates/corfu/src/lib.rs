@@ -14,9 +14,11 @@
 //!
 //! * [`Projection`] — the epoch-stamped cluster layout (replica sets +
 //!   sequencer) and the deterministic offset→replica-set mapping.
-//! * [`StorageServer`] / [`SequencerServer`] / [`LayoutServer`] — the three
-//!   services, each an [`tango_rpc::RpcHandler`] usable over the in-process
-//!   or TCP transport.
+//! * [`StorageServer`] / [`SequencerServer`] — the data-plane services,
+//!   each an [`tango_rpc::RpcHandler`] usable over the in-process or TCP
+//!   transport.
+//! * [`LayoutClient`] — `get`/`propose` of projections over the replicated
+//!   metalog (`tango-meta`), the only layout backend.
 //! * [`CorfuClient`] — the client library: `append`, `read`, `check` (fast
 //!   and slow), `fill`, `trim`, plus the token/raw-write split used by the
 //!   streaming layer.
@@ -25,8 +27,8 @@
 //!   them and sequencer recovery must parse them).
 //! * [`reconfig`] — seal-based reconfiguration: replacing a failed
 //!   sequencer and rebuilding its tail + backpointer state from the log.
-//! * [`cluster`] — an in-process or TCP cluster harness for tests, examples
-//!   and benchmarks.
+//! * [`cluster`] — one cluster harness for tests, examples and benchmarks,
+//!   over a pluggable transport (in-process or TCP).
 
 mod client;
 pub mod cluster;
@@ -45,7 +47,7 @@ pub use client::{AppendOutcome, ClientOptions, ConnFactory, CorfuClient, ReadOut
 pub use compactor::{Compactor, CompactorConfig};
 pub use entry::{CrossLogLink, EntryEnvelope, StreamHeader};
 pub use error::CorfuError;
-pub use layout::{LayoutClient, LayoutServer};
+pub use layout::LayoutClient;
 pub use projection::{LogLayout, NodeInfo, Projection, ShardMap};
 pub use sequencer::{SequencerServer, SequencerState, MAX_TOKEN_BATCH};
 pub use storage::{CompactionReport, StorageServer, MAX_READ_BATCH};

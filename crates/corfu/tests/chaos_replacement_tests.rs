@@ -75,7 +75,7 @@ fn scenario(seed: u64) -> Vec<TraceEvent> {
     // Replace the victim while the appender is still hammering the log.
     let dead = rx.recv_timeout(Duration::from_secs(10)).expect("the planned crash must fire");
     let coordinator = cluster.client().unwrap();
-    let (info, replacement) = cluster.spawn_replacement_storage();
+    let (info, replacement) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&coordinator, dead, info.clone()).unwrap();
     assert!(outcome.pages_copied > 0, "the rebuild must move pages");
     assert_eq!(outcome.projection.epoch, 1);

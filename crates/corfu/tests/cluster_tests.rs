@@ -2,9 +2,10 @@
 //! hole filling, checks, trims, and sequencer failover.
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::reconfig;
 use corfu::{CorfuError, ReadOutcome};
+use tango_metrics::HealthStatus;
 
 fn payload(i: u64) -> Bytes {
     Bytes::from(format!("entry-{i}").into_bytes())
@@ -227,21 +228,21 @@ fn random_trim_single_offset() {
     assert!(matches!(client.read(3).unwrap(), ReadOutcome::Data(_)));
 }
 
-#[test]
-fn sequencer_failover_preserves_log_and_tail() {
-    let cluster = LocalCluster::new(ClusterConfig::default());
+/// Sequencer failover, on either transport: kill the sequencer, rebuild a
+/// replacement's tail and backpointers from the log, and carry on.
+fn sequencer_failover<T: Transport>(cluster: Cluster<T>) {
     let client = cluster.client().unwrap();
     for i in 0..40u32 {
         client.append_streams(&[i % 4], payload(i as u64)).unwrap();
     }
     // Kill the sequencer; fast checks now fail at the transport level.
-    cluster.kill_sequencer();
+    cluster.kill_sequencer_of(0);
     assert!(client.check_tail_fast().is_err());
     // The slow check still works against the storage nodes.
     assert_eq!(client.check_tail_slow().unwrap(), 40);
 
     // Reconfigure to a replacement sequencer.
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer_for(0).unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     assert_eq!(outcome.recovered_tail, 40);
     assert_eq!(outcome.projection.epoch, 1);
@@ -258,6 +259,16 @@ fn sequencer_failover_preserves_log_and_tail() {
     // Old data is still readable.
     let entry = client.read_entry(5).unwrap();
     assert_eq!(entry.payload, payload(5));
+}
+
+#[test]
+fn sequencer_failover_preserves_log_and_tail() {
+    sequencer_failover(LocalCluster::new(ClusterConfig::default()));
+}
+
+#[test]
+fn sequencer_failover_preserves_log_and_tail_over_tcp() {
+    sequencer_failover(TcpCluster::spawn(ClusterConfig::default()).unwrap());
 }
 
 #[test]
@@ -302,4 +313,35 @@ fn storage_node_crash_fails_appends_to_its_set() {
     assert_eq!(client.append(payload(2)).unwrap(), 2);
     // Offset 3 maps to set 1 (dead) - the append must error, not hang.
     assert!(client.append(payload(3)).is_err());
+}
+
+/// The in-process transport reports health by the same rule as TCP: a
+/// killed node counts as unreachable (degraded) until it is retired from
+/// the monitoring target list.
+#[test]
+fn in_process_health_reports_killed_nodes_until_retired() {
+    let cluster =
+        LocalCluster::new(ClusterConfig { num_sets: 2, replication: 2, ..Default::default() });
+    let client = cluster.client().unwrap();
+    for i in 0..8 {
+        client.append(payload(i)).unwrap();
+    }
+    assert_eq!(cluster.cluster_health().status, HealthStatus::Ok);
+
+    cluster.kill(1);
+    let health = cluster.cluster_health();
+    assert_eq!(health.status, HealthStatus::Degraded, "{:?}", health.reasons);
+    assert!(
+        health.reasons.iter().any(|r| r.code == "unreachable" && r.detail.contains("storage-1")),
+        "{:?}",
+        health.reasons
+    );
+
+    // Repair, then update the target list: back to ok.
+    let (info, _server) = cluster.spawn_replacement_storage().unwrap();
+    reconfig::replace_storage_node(&client, 1, info).unwrap();
+    assert_eq!(cluster.cluster_health().status, HealthStatus::Degraded);
+    cluster.retire_scrape_target("storage-1");
+    let health = cluster.cluster_health();
+    assert_eq!(health.status, HealthStatus::Ok, "{:?}", health.reasons);
 }

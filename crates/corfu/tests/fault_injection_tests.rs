@@ -86,7 +86,7 @@ fn sequencer_outage_is_retried() {
     let seq_addr = proj.addr_of(proj.sequencer_of(0)).unwrap().to_owned();
     let handler_restore = {
         // Keep a strong reference to restore after the kill.
-        cluster.sequencer().clone()
+        cluster.sequencer_of(0).unwrap()
     };
     registry.kill(&seq_addr);
     let appender = {

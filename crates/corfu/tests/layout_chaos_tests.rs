@@ -12,7 +12,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster, LAYOUT_BASE_ID};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport, LAYOUT_BASE_ID};
 use corfu::reconfig::{bump_epoch, replace_storage_node};
 use corfu::{ClientOptions, LogOffset, NodeId};
 use support::fault::{FaultPlan, TraceEvent};
@@ -63,8 +63,8 @@ fn replacement_scenario(seed: u64) -> Vec<TraceEvent> {
     // Kill a storage node and replace it. The layout CAS at the end of the
     // rebuild triggers the planned metalog-replica crash mid-operation.
     let victim: NodeId = 3;
-    cluster.kill_storage_node(victim);
-    let (info, _replacement) = cluster.spawn_replacement_storage();
+    cluster.kill(victim);
+    let (info, _replacement) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&client, victim, info).unwrap();
     assert_eq!(outcome.projection.epoch, 1, "the rebuild must install epoch 1");
     assert!(outcome.pages_copied > 0, "the rebuild must move pages");
@@ -166,17 +166,14 @@ fn lossy_metadata_plane_slows_but_never_wedges_reconfiguration() {
 /// A layout replica crashes outright; a replacement is caught up from the
 /// surviving quorum and inducted. The replacement must be a real quorum
 /// member: the cluster then survives losing a *second* original replica.
-#[test]
-fn crashed_layout_replica_is_replaced_and_carries_the_quorum() {
-    let cluster =
-        LocalCluster::new(ClusterConfig { num_sets: 1, replication: 2, ..Default::default() });
+fn layout_replica_replacement<T: Transport>(cluster: Cluster<T>) {
     let client = cluster.client().unwrap();
     for i in 0..6u32 {
         client.append(Bytes::from(format!("pre-{i}"))).unwrap();
     }
 
     // Crash the arbitrating (lowest-indexed) replica.
-    cluster.kill_layout_replica(LAYOUT_BASE_ID);
+    cluster.kill(LAYOUT_BASE_ID);
     // Seal/reconfigure works on the surviving 2-of-3 quorum.
     let (epoch, _) = bump_epoch(&client).unwrap();
     assert_eq!(epoch, 1);
@@ -189,7 +186,7 @@ fn crashed_layout_replica_is_replaced_and_carries_the_quorum() {
 
     // The replacement carries its share: lose a second original replica and
     // the metalog still serves seals, reconfigurations, and appends.
-    cluster.kill_layout_replica(LAYOUT_BASE_ID + 1);
+    cluster.kill(LAYOUT_BASE_ID + 1);
     let (epoch, _) = bump_epoch(&client).unwrap();
     assert_eq!(epoch, 2);
     let off = client.append(Bytes::from_static(b"after-two-crashes")).unwrap();
@@ -197,4 +194,18 @@ fn crashed_layout_replica_is_replaced_and_carries_the_quorum() {
         cluster.client().unwrap().read_entry(off).unwrap().payload,
         Bytes::from_static(b"after-two-crashes")
     );
+}
+
+fn one_set_of_two() -> ClusterConfig {
+    ClusterConfig { num_sets: 1, replication: 2, ..Default::default() }
+}
+
+#[test]
+fn crashed_layout_replica_is_replaced_and_carries_the_quorum() {
+    layout_replica_replacement(LocalCluster::new(one_set_of_two()));
+}
+
+#[test]
+fn crashed_layout_replica_is_replaced_and_carries_the_quorum_over_tcp() {
+    layout_replica_replacement(TcpCluster::spawn(one_set_of_two()).unwrap());
 }

@@ -11,16 +11,14 @@ use std::sync::Arc;
 use std::thread;
 
 use bytes::Bytes;
-use corfu::cluster::{ClusterConfig, LocalCluster, TcpCluster};
+use corfu::cluster::{Cluster, ClusterConfig, LocalCluster, TcpCluster, Transport};
 use corfu::{reconfig, ClientOptions};
 
-#[test]
-fn batched_appends_amortize_sequencer_round_trips() {
-    // 40 appends with batch = 4 should cost ~10 sequencer round trips
-    // instead of 40: one NextBatch per four tokens, the rest pool hits.
-    let mut config = ClusterConfig::default();
-    config.client_options.seq_batch = 4;
-    let cluster = LocalCluster::new(config);
+/// 40 appends with batch = 4 should cost ~10 sequencer round trips instead
+/// of 40: one NextBatch per four tokens, the rest pool hits. The batch size
+/// comes from the cluster config, so `client()` must honour it on either
+/// transport.
+fn batched_appends_amortize<T: Transport>(cluster: Cluster<T>) {
     let client = cluster.client().unwrap();
 
     const APPENDS: u64 = 40;
@@ -28,7 +26,7 @@ fn batched_appends_amortize_sequencer_round_trips() {
         client.append(Bytes::from(format!("batched-{i}"))).unwrap();
     }
 
-    let snap = cluster.metrics().snapshot();
+    let snap = cluster.cluster_snapshot().merged();
     assert_eq!(snap.counter("corfu.seq.tokens_granted"), APPENDS);
     assert_eq!(
         snap.counter("corfu.seq.batches_granted"),
@@ -56,6 +54,23 @@ fn batched_appends_amortize_sequencer_round_trips() {
     }
 }
 
+fn batch_of_four() -> ClusterConfig {
+    let mut config = ClusterConfig::default();
+    config.client_options.seq_batch = 4;
+    config
+}
+
+#[test]
+fn batched_appends_amortize_sequencer_round_trips() {
+    batched_appends_amortize(LocalCluster::new(batch_of_four()));
+}
+
+/// Regression: the TCP client used to ignore the configured client options.
+#[test]
+fn batched_appends_amortize_sequencer_round_trips_over_tcp() {
+    batched_appends_amortize(TcpCluster::spawn(batch_of_four()).unwrap());
+}
+
 #[test]
 fn unbatched_default_is_unchanged() {
     // seq_batch defaults to 1: every token is its own round trip and the
@@ -78,8 +93,10 @@ fn concurrent_batched_appends_over_tcp_get_unique_offsets() {
     // Several threads share one batched client over real TCP: the token
     // pool must never hand the same offset twice, and the sequencer round
     // trips must still be amortized under contention.
-    let cluster = TcpCluster::spawn(ClusterConfig::default()).unwrap();
-    let client = Arc::new(cluster.client_with_options(ClientOptions::batched()).unwrap());
+    let config =
+        ClusterConfig { client_options: ClientOptions::batched(), ..ClusterConfig::default() };
+    let cluster = TcpCluster::spawn(config).unwrap();
+    let client = Arc::new(cluster.client().unwrap());
 
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 12;
@@ -171,7 +188,7 @@ fn seal_during_pipelined_batched_appends() {
     // Yank the sequencer out from under the appenders mid-stream.
     barrier.wait();
     let admin = cluster.client().unwrap();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer_for(0).unwrap();
     let outcome = reconfig::replace_sequencer(&admin, info, k).unwrap();
     assert_eq!(outcome.projection.epoch, 1);
 

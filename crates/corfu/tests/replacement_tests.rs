@@ -38,8 +38,8 @@ fn replacement_preserves_log_contents() {
     client.trim_prefix(horizon).unwrap();
 
     // Kill the head of replica set 0 and rebuild it onto a fresh node.
-    cluster.kill_storage_node(0);
-    let (info, replacement) = cluster.spawn_replacement_storage();
+    cluster.kill(0);
+    let (info, replacement) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&client, 0, info.clone()).unwrap();
 
     assert_eq!(outcome.chains_rebuilt, 1);
@@ -108,8 +108,8 @@ fn tcp_cluster_replacement_end_to_end() {
     }
 
     // Node 2 heads replica set 1.
-    cluster.kill_storage_node(2);
-    let info = cluster.spawn_replacement_storage().unwrap();
+    cluster.kill(2);
+    let (info, _server) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&client, 2, info.clone()).unwrap();
     assert!(outcome.pages_copied > 0);
     assert!(outcome.projection.log(0).replica_sets.iter().any(|set| set.contains(&info.id)));
@@ -175,7 +175,7 @@ fn sealed_epoch_retry_is_transparent_to_racing_clients() {
     // Decommission the live tail of replica set 0 mid-traffic.
     std::thread::sleep(std::time::Duration::from_millis(10));
     let coordinator = cluster.client().unwrap();
-    let (info, _server) = cluster.spawn_replacement_storage();
+    let (info, _server) = cluster.spawn_replacement_storage().unwrap();
     let outcome = replace_storage_node(&coordinator, 1, info).unwrap();
     assert_eq!(outcome.projection.epoch, 1);
 
@@ -209,9 +209,9 @@ fn concurrent_replacements_converge_on_one_winner() {
         entries.push((off, payload));
     }
 
-    cluster.kill_storage_node(0);
-    let (info_a, _server_a) = cluster.spawn_replacement_storage();
-    let (info_b, _server_b) = cluster.spawn_replacement_storage();
+    cluster.kill(0);
+    let (info_a, _server_a) = cluster.spawn_replacement_storage().unwrap();
+    let (info_b, _server_b) = cluster.spawn_replacement_storage().unwrap();
     let candidates = [info_a.id, info_b.id];
 
     let spawn_replacer = |info: corfu::NodeInfo| {

@@ -23,8 +23,8 @@ fn checkpoint_bounds_recovery_scan() {
         client.append_streams(&[i % 5], payload(i as u64)).unwrap();
     }
 
-    cluster.kill_sequencer();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    cluster.kill_sequencer_of(0);
+    let (info, _server) = cluster.spawn_replacement_sequencer_for(0).unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     assert_eq!(outcome.recovered_tail, 221); // 220 entries + 1 checkpoint
                                              // The scan stopped at the checkpoint: far fewer than 221 entries read.
@@ -49,8 +49,8 @@ fn recovery_without_checkpoint_still_exact() {
     for i in 0..50u32 {
         client.append_streams(&[i % 3], payload(i as u64)).unwrap();
     }
-    cluster.kill_sequencer();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    cluster.kill_sequencer_of(0);
+    let (info, _server) = cluster.spawn_replacement_sequencer_for(0).unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     // Full scan.
     assert_eq!(outcome.entries_scanned, 50);
@@ -70,8 +70,8 @@ fn checkpoint_state_covers_streams_with_no_suffix_entries() {
     for i in 0..30u64 {
         client.append_streams(&[8], payload(i)).unwrap(); // 3..33
     }
-    cluster.kill_sequencer();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    cluster.kill_sequencer_of(0);
+    let (info, _server) = cluster.spawn_replacement_sequencer_for(0).unwrap();
     let outcome = reconfig::replace_sequencer(&client, info, 4).unwrap();
     assert!(outcome.entries_scanned <= 32);
     // Stream 7's backpointers come from the checkpoint.

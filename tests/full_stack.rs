@@ -110,9 +110,9 @@ fn sequencer_failover_under_live_tango_traffic() {
     assert_eq!(map.len().unwrap(), 25);
 
     // Kill the sequencer and reconfigure.
-    cluster.kill_sequencer();
+    cluster.kill_sequencer_of(0);
     let admin = cluster.client().unwrap();
-    let (info, _server) = cluster.spawn_replacement_sequencer();
+    let (info, _server) = cluster.spawn_replacement_sequencer_for(0).unwrap();
     reconfig::replace_sequencer(&admin, info, cluster.config().k_backpointers).unwrap();
 
     // Existing runtime keeps working (its CORFU client refreshes layout).

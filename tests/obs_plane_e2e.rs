@@ -80,7 +80,7 @@ fn cluster_health_degrades_in_the_fault_window_and_recovers() {
 
     // Fault window: one metalog replica dies. The cluster degrades (the
     // target is unreachable) but quorum holds.
-    cluster.kill_layout_replica(LAYOUT_BASE_ID + 2);
+    cluster.kill(LAYOUT_BASE_ID + 2);
     let health = cluster.cluster_health();
     assert_eq!(health.status, HealthStatus::Degraded);
     assert!(health.reasons.iter().any(|r| r.code == "unreachable"), "{:?}", health.reasons);
@@ -93,8 +93,8 @@ fn cluster_health_degrades_in_the_fault_window_and_recovers() {
     assert_eq!(health.status, HealthStatus::Ok, "{:?}", health.reasons);
 
     // Losing a majority of the metalog is unhealthy, not merely degraded.
-    cluster.kill_layout_replica(LAYOUT_BASE_ID);
-    cluster.kill_layout_replica(LAYOUT_BASE_ID + 1);
+    cluster.kill(LAYOUT_BASE_ID);
+    cluster.kill(LAYOUT_BASE_ID + 1);
     let health = cluster.cluster_health();
     assert_eq!(health.status, HealthStatus::Unhealthy);
     assert!(health.reasons.iter().any(|r| r.code == "meta_quorum"), "{:?}", health.reasons);

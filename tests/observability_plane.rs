@@ -102,7 +102,7 @@ fn scrape_survives_killed_nodes() {
         client.append(Bytes::from(format!("pre-{i}"))).unwrap();
     }
 
-    cluster.kill_storage_node(3);
+    cluster.kill(3);
     let snapshot = cluster.cluster_snapshot();
     assert!(snapshot.node("storage-3").is_none(), "killed node drops out of the scrape");
     assert!(snapshot.node("storage-0").is_some());
@@ -128,7 +128,7 @@ fn traces_propagate_across_tcp_into_per_node_rings() {
 
     // The grant span lives in the sequencer's own registry, parented to
     // the client's root — the context crossed the socket in the frame.
-    let seq_spans = cluster.sequencer_registry().spans();
+    let seq_spans = cluster.sequencer_registry_of(0).spans();
     let grant = seq_spans
         .iter()
         .find(|s| s.kind == SpanKind::SeqGrant)
